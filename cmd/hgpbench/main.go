@@ -45,7 +45,7 @@ func main() {
 	prune := flag.Bool("prune", false, "incumbent portfolio pruning in pipeline solves; tables are identical either way, only solve-time columns move")
 	jsonOut := flag.String("json", "", "also write results as machine-readable JSON to this file")
 	budget := flag.Duration("budget", 0, "per-solve wall-clock budget for the E22 anytime ladder (0 = the default sweep)")
-	tier := flag.String("tier", "", "restrict the E22 ladder to one rung: full_dp, capped_dp, or baseline (empty = whole ladder)")
+	tier := flag.String("tier", "", "restrict the E22 ladder to one rung: full_dp or baseline (empty = whole ladder)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -88,51 +88,18 @@ func main() {
 		}
 	}
 
-	runners := []struct {
-		id  string
-		run func(experiments.Config) *experiments.Table
-	}{
-		{"E1", experiments.E1TreeDPOptimality},
-		{"E2", experiments.E2CostForms},
-		{"E3", experiments.E3ViolationBound},
-		{"E4", experiments.E4ApproxRatio},
-		{"E5", experiments.E5VsBaselines},
-		{"E6", experiments.E6StreamThroughput},
-		{"E7", experiments.E7TreeDistortion},
-		{"E8", experiments.E8DPScaling},
-		{"E9", experiments.E9CMSweep},
-		{"E10", experiments.E10KBGPConsistency},
-		{"E11", experiments.E11AblationDP},
-		{"E12", experiments.E12AblationTrees},
-		{"E13", experiments.E13AblationRefinement},
-		{"E14", experiments.E14EmbeddingCongestion},
-		{"E15", experiments.E15DESStability},
-		{"E16", experiments.E16AblationFlowRefine},
-		{"E17", experiments.E17AblationStrategy},
-		{"E18", experiments.E18DynamicRepartition},
-		{"E19", experiments.E19EpsSweep},
-		{"E20", experiments.E20AblationPruning},
-		{"E21", experiments.E21AtScale},
-		{"E22", experiments.E22AnytimeLadder},
-		{"E23", experiments.E23WarmRestart},
-		{"E24", experiments.E24MultiCoreMatrix},
-		{"E25", experiments.E25CanonCache},
-		{"E26", experiments.E26IncrementalRepartition},
-		{"F1", experiments.F1BadSetSplit},
-		{"F2", experiments.F2ActiveSets},
-	}
 	report := jsonReport{
 		Schema: schemaVersion, Seed: *seed, Quick: *quick,
 		Workers: *workers, Prune: *prune,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
 	ran := 0
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+	for _, r := range experiments.Registry {
+		if len(want) > 0 && !want[r.ID] {
 			continue
 		}
 		start := time.Now()
-		tab := r.run(cfg)
+		tab := r.Run(cfg)
 		wall := time.Since(start)
 		if *csvOut {
 			if err := tab.WriteCSV(os.Stdout); err != nil {
@@ -141,7 +108,7 @@ func main() {
 			}
 		} else {
 			fmt.Print(tab.Format())
-			fmt.Printf("   (%s in %s)\n\n", r.id, wall.Round(time.Millisecond))
+			fmt.Printf("   (%s in %s)\n\n", r.ID, wall.Round(time.Millisecond))
 		}
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID: tab.ID, Title: tab.Title, Columns: tab.Columns, Rows: tab.Rows,

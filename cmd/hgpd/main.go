@@ -37,7 +37,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 		maxTimeout  = flag.Duration("max-timeout", 5*time.Minute, "upper bound on any per-request deadline")
 		workers     = flag.Int("workers", 0, "per-solve worker budget (0 = GOMAXPROCS)")
-		serialPort  = flag.Bool("serial-portfolio", false, "run pruned tree portfolios one tree at a time instead of racing them under a shared incumbent bound (results identical; escape hatch / A-B knob)")
 		maxStates   = flag.Int("max-states", 50_000_000, "per-request DP state budget ceiling")
 		maxVertices = flag.Int("max-vertices", 100_000, "reject graphs with more vertices than this (413)")
 		maxEdges    = flag.Int("max-edges", 2_000_000, "reject graphs with more edges than this (413)")
@@ -106,7 +105,6 @@ func main() {
 		CacheEntries:       *cacheSize,
 		ResultCacheEntries: *resultCache,
 		SolverWorkers:      *workers,
-		SerialPortfolio:    *serialPort,
 		MaxStates:          *maxStates,
 		MaxVertices:        *maxVertices,
 		MaxEdges:           *maxEdges,

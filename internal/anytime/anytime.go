@@ -23,10 +23,6 @@ const (
 	// decomposition trees, each solved by the mirror-function DP under
 	// the requested state budget.
 	TierFullDP Tier = iota
-	// TierCappedDP is the same pipeline with its knobs turned down —
-	// fewer decomposition trees and a reduced DP state budget — trading
-	// distribution quality for a much smaller worst case.
-	TierCappedDP
 	// TierBaseline is the k-BGP-style heuristic fallback: SCOTCH-style
 	// dual recursive bipartitioning mapped directly onto the hierarchy
 	// (internal/baseline.DualRecursive), polished with one local
@@ -42,8 +38,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierFullDP:
 		return "full_dp"
-	case TierCappedDP:
-		return "capped_dp"
 	case TierBaseline:
 		return "baseline"
 	default:
@@ -61,63 +55,24 @@ func ParseTier(s string) (Tier, error) {
 	return 0, fmt.Errorf("anytime: unknown tier %q", s)
 }
 
-// DPFunc executes one DP-based tier. The default runs
+// DPFunc executes the full tier. The default runs
 // hgp.Solver.SolveContext directly; the hgpd server injects a
 // cache-backed (and singleflight-coalesced) implementation instead.
 type DPFunc func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error)
 
 // Options configures the ladder.
 type Options struct {
-	// Solver is the tier-0 (full pipeline) configuration. Its Workers
-	// budget is split across the racing tiers: the full tier keeps
-	// Workers−1 (at least 1) and the capped tier runs with 1, so the
-	// race never oversubscribes the budget by more than the (idle-light)
-	// baseline goroutine.
+	// Solver is the full tier's configuration. The full tier keeps its
+	// whole Workers budget: the only other rung is the baseline, a
+	// single goroutine that finishes in milliseconds.
 	Solver hgp.Solver
-	// SolveDP overrides how DP tiers execute; nil means a direct
+	// SolveDP overrides how the full tier executes; nil means a direct
 	// hgp.SolveContext. The solver passed in always has AllowPartial
 	// set, so implementations must propagate it unchanged.
 	SolveDP DPFunc
-	// CappedTrees is the capped tier's tree count. Zero means
-	// min(2, full trees). The capped trees are a prefix of the full
-	// tier's (sub-seed derivation is positional), so its quality is a
-	// strict subset, never a different distribution.
-	CappedTrees int
-	// CappedMaxStates is the capped tier's DP state budget. Zero means
-	// an eighth of the full budget, or 1<<20 when the full budget is
-	// unlimited.
-	CappedMaxStates int
 	// Only restricts the ladder to a single tier (for experiments and
 	// the hgpbench -tier flag). Nil means run the whole ladder.
 	Only *Tier
-}
-
-func (o Options) cappedTrees() int {
-	if o.CappedTrees > 0 {
-		return o.CappedTrees
-	}
-	full := o.Solver.Trees
-	if full == 0 {
-		full = 4
-	}
-	if full < 2 {
-		return full
-	}
-	return 2
-}
-
-func (o Options) cappedMaxStates() int {
-	if o.CappedMaxStates > 0 {
-		return o.CappedMaxStates
-	}
-	if o.Solver.MaxStates == 0 {
-		return 1 << 20
-	}
-	ms := o.Solver.MaxStates / 8
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
 }
 
 // TierState classifies how a tier's attempt ended.
@@ -136,8 +91,8 @@ const (
 	// StateFailed marks a tier that returned an error (including
 	// cancellation before any incumbent existed).
 	StateFailed TierState = "failed"
-	// StateSkipped marks a tier the ladder never launched (capped ≡
-	// full configuration, or restricted by Options.Only).
+	// StateSkipped marks a tier the ladder never launched (restricted
+	// by Options.Only).
 	StateSkipped TierState = "skipped"
 	// StateSuperseded marks a tier stopped by the race itself: the full
 	// tier completed while this one was still running, so its context
@@ -173,7 +128,7 @@ type Outcome struct {
 }
 
 // Solve runs the degradation ladder: the enabled tiers race under ctx,
-// cheapest-first results stand in until a better tier completes, and
+// the baseline's result stands in until the full tier completes, and
 // the best feasible partition available when the full tier finishes (or
 // the deadline expires) is returned. The error is non-nil only when no
 // tier produced any valid placement — with the baseline tier enabled
@@ -181,7 +136,7 @@ type Outcome struct {
 // runs to completion even under an expired deadline.
 //
 // Cancellation latency is bounded by the solver's poll granularity
-// (cluster splits, DP tables): every DP tier threads ctx all the way
+// (cluster splits, DP tables): the full tier threads ctx all the way
 // down, and a cancelled DP surrenders its best-so-far incumbent via
 // hgp.Solver.AllowPartial rather than discarding completed trees.
 func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Options) (*Outcome, error) {
@@ -193,8 +148,8 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 		out.Reports[t] = TierReport{Tier: t, Name: t.String(), State: StateSkipped}
 	}
 
-	// raceCtx stops still-running cheaper tiers once the full tier has
-	// delivered a complete result they cannot beat.
+	// raceCtx stops a still-running baseline once the full tier has
+	// delivered a complete result.
 	raceCtx, stopRace := context.WithCancel(ctx)
 	defer stopRace()
 
@@ -222,36 +177,15 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 
 	fullSv := opts.Solver
 	fullSv.AllowPartial = true
-	// The DP rungs run under a deadline, so they adopt portfolio pruning:
+	// The full tier runs under a deadline, so it adopts portfolio pruning:
 	// the returned placement is bit-identical (pinned by the hgp identity
 	// battery) but multi-tree solves finish sooner, which is exactly what
-	// a race against the clock wants. Derived below, the capped rung
-	// inherits the flag.
+	// a race against the clock wants.
 	fullSv.Prune = true
-	fullTrees := fullSv.Trees
-	if fullTrees == 0 {
-		fullTrees = 4
-	}
-	cappedSv := fullSv
-	cappedSv.Trees = opts.cappedTrees()
-	cappedSv.MaxStates = opts.cappedMaxStates()
-	cappedSv.Workers = 1
-	if fullSv.Workers > 1 {
-		fullSv.Workers--
-	}
-	// A capped tier identical to (or looser than) the full tier would
-	// just duplicate its work.
-	cappedDistinct := cappedSv.Trees < fullTrees ||
-		(fullSv.MaxStates == 0 || cappedSv.MaxStates < fullSv.MaxStates)
 
 	launch(TierFullDP, func(ctx context.Context) (*hgp.Result, error) {
 		return solveDP(ctx, g, H, fullSv)
 	})
-	if cappedDistinct {
-		launch(TierCappedDP, func(ctx context.Context) (*hgp.Result, error) {
-			return solveDP(ctx, g, H, cappedSv)
-		})
-	}
 	launch(TierBaseline, func(ctx context.Context) (*hgp.Result, error) {
 		return solveBaseline(ctx, g, H, opts.Solver.Seed)
 	})
@@ -259,7 +193,7 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 		return nil, errors.New("anytime: no tier enabled")
 	}
 
-	// The selection's feasibility line: the DP tiers guarantee capacity
+	// The selection's feasibility line: the full tier guarantees capacity
 	// violation ≤ 1+eps, the baseline does not, and a rung that cheats
 	// on capacity must never outrank one inside the guarantee on cost
 	// alone.
@@ -332,9 +266,9 @@ type tierCtxKey struct{}
 
 // TierFromContext reports which ladder tier the context belongs to. The
 // context handed to each tier's execution (and therefore to
-// Options.SolveDP) carries its Tier, so instrumented backends — the
-// hgpd server attributing cache hits and phase timings — can tell the
-// racing attempts apart without threading extra state.
+// Options.SolveDP) carries its Tier, so instrumented backends — a
+// tracer naming its spans, say — can tell the racing attempts apart
+// without threading extra state.
 func TierFromContext(ctx context.Context) (Tier, bool) {
 	t, ok := ctx.Value(tierCtxKey{}).(Tier)
 	return t, ok
@@ -344,7 +278,7 @@ func TierFromContext(ctx context.Context) (Tier, bool) {
 // solver's (1+eps) capacity guarantee before outside it, then lower
 // cost, then complete over partial, then the higher-quality (lower)
 // tier. The feasibility rank comes first because the baseline rung has
-// no bicriteria guarantee — it can undercut the DP tiers on cost by
+// no bicriteria guarantee — it can undercut the full tier on cost by
 // overloading capacity, and that trade must never win.
 func better(a, b *attempt, feasLimit float64) bool {
 	if af, bf := maxViol(a.res) <= feasLimit, maxViol(b.res) <= feasLimit; af != bf {
@@ -395,8 +329,8 @@ func runContained(ctx context.Context, run func(context.Context) (*hgp.Result, e
 
 // solveBaseline is the cheapest rung: hierarchy-aware dual recursive
 // bipartitioning, polished with one bounded local-refinement pass on
-// small instances. It is deterministic per seed and — unlike the DP
-// tiers — runs to completion even when ctx has already expired: this
+// small instances. It is deterministic per seed and — unlike the full
+// tier — runs to completion even when ctx has already expired: this
 // rung is the ladder's floor, the reason "some valid placement" can be
 // promised at all, and it finishes in milliseconds on anything the
 // serving path admits. Only the optional polish pass yields to an

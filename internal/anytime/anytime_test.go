@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func TestFullTierWinsWithAmpleBudget(t *testing.T) {
 
 func TestExpiredDeadlineStillReturnsBaseline(t *testing.T) {
 	g, H := testInstance(2, 32)
-	// A deadline that has effectively already passed: DP tiers cannot
+	// A deadline that has effectively already passed: the DP tier cannot
 	// finish, the heuristic rung must still hand back a placement.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
@@ -130,20 +131,33 @@ func TestOnlyRestrictsLadder(t *testing.T) {
 	}
 }
 
-func TestCappedTierDefaults(t *testing.T) {
-	o := Options{Solver: hgp.Solver{Trees: 8, MaxStates: 1 << 24}}
-	if got := o.cappedTrees(); got != 2 {
-		t.Fatalf("cappedTrees = %d, want 2", got)
+// The full tier is the only DP rung: the ladder calls SolveDP exactly
+// once per request, with the caller's whole worker budget.
+func TestFullTierKeepsWorkerBudget(t *testing.T) {
+	g, H := testInstance(6, 32)
+	var calls atomic.Int32
+	var workers atomic.Int64
+	opts := Options{
+		Solver: hgp.Solver{Trees: 4, Seed: 1, Workers: 3},
+		SolveDP: func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error) {
+			calls.Add(1)
+			workers.Store(int64(sv.Workers))
+			return sv.SolveContext(ctx, g, H)
+		},
 	}
-	if got := o.cappedMaxStates(); got != 1<<21 {
-		t.Fatalf("cappedMaxStates = %d, want %d", got, 1<<21)
+	out, err := Solve(context.Background(), g, H, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	o = Options{Solver: hgp.Solver{Trees: 1}}
-	if got := o.cappedTrees(); got != 1 {
-		t.Fatalf("cappedTrees = %d, want 1", got)
+	assertValid(t, g, H, out)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("SolveDP called %d times, want 1", n)
 	}
-	if got := o.cappedMaxStates(); got != 1<<20 {
-		t.Fatalf("cappedMaxStates (unlimited full) = %d, want %d", got, 1<<20)
+	if w := workers.Load(); w != 3 {
+		t.Fatalf("full tier ran with %d workers, want the whole budget of 3", w)
+	}
+	if len(out.Reports) != 2 || out.Reports[0].Name != "full_dp" || out.Reports[1].Name != "baseline" {
+		t.Fatalf("reports = %+v, want full_dp then baseline", out.Reports)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package anytime is the degradation ladder: a budget-aware
-// orchestrator that races the paper's full HGP pipeline against
-// progressively cheaper tiers — a state-capped DP over fewer
-// decomposition trees, then a k-BGP-style heuristic mapped onto the
-// hierarchy — and always returns the best feasible partition found
-// before the deadline, annotated with the tier that produced it.
+// orchestrator that races the paper's full HGP pipeline against one
+// cheap rung — a k-BGP-style heuristic mapped onto the hierarchy — and
+// always returns the best feasible partition found before the
+// deadline, annotated with the tier that produced it.
 //
 // The ladder exists because the bicriteria pipeline is all-or-nothing
 // on its own: a deadline or state blowup mid-DP used to surrender

@@ -165,6 +165,7 @@ func decodeDecomposition(buf []byte) (*treedecomp.Decomposition, error) {
 			parents[v], weights[v] = int(p), w
 		}
 		t := tree.New()
+		t.Grow(int(n) - 1)
 		for v := 1; v < int(n); v++ {
 			t.AddChild(parents[v], weights[v])
 		}

@@ -15,9 +15,9 @@ import (
 // solved under shrinking wall-clock budgets, recording which tier wins,
 // its cost relative to the unconstrained full pipeline, and how fast
 // the answer came back. The expectation is a graceful quality/latency
-// trade: the full pipeline under no budget, capped or partial results
-// in the middle, and the heuristic floor — at a bounded cost penalty —
-// when the budget is far below the DP's needs.
+// trade: the full pipeline under no budget, its partial incumbent when
+// some trees finish in time, and the heuristic floor — at a bounded
+// cost penalty — when the budget is far below the DP's needs.
 //
 // Config.Budget, when non-zero, replaces the default budget sweep with
 // that single deadline (the hgpbench -budget flag); Config.Tier
@@ -28,7 +28,7 @@ func E22AnytimeLadder(cfg Config) *Table {
 		Title: "Anytime degradation ladder under shrinking budgets",
 		Columns: []string{"budget", "tier", "degraded", "partial",
 			"trees done", "cost", "vs full", "viol", "elapsed_ms"},
-		Notes: "expected: full_dp at generous budgets (ratio 1, viol ≤ 1+eps), capped/partial in between, baseline floor at starvation budgets with a modest cost penalty — and never an error",
+		Notes: "expected: full_dp at generous budgets (ratio 1, viol ≤ 1+eps), baseline floor at starvation budgets with a modest cost penalty — and never an error",
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 22))
 	h := hierarchy.NUMASockets(4, 4)

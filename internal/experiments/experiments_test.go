@@ -331,7 +331,7 @@ func TestE22LadderNeverErrors(t *testing.T) {
 		// Every budget row must carry a real tier — the ladder's contract
 		// is an answer at any budget, never an error row.
 		switch r[1] {
-		case "full_dp", "capped_dp", "baseline":
+		case "full_dp", "baseline":
 		default:
 			t.Fatalf("E22 budget %s: tier %q", r[0], r[1])
 		}
@@ -428,14 +428,17 @@ func TestE25CanonCache(t *testing.T) {
 }
 
 func TestAllProducesEveryTable(t *testing.T) {
-	tabs := All(quickCfg())
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24", "E25", "F1", "F2"}
-	if len(tabs) != len(want) {
-		t.Fatalf("All returned %d tables", len(tabs))
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24", "E25", "E26", "F1", "F2"}
+	if len(Registry) != len(want) {
+		t.Fatalf("Registry has %d experiments, want %d", len(Registry), len(want))
 	}
+	cfg := quickCfg()
 	for i, id := range want {
-		if tabs[i].ID != id {
-			t.Fatalf("table %d = %s, want %s", i, tabs[i].ID, id)
+		if Registry[i].ID != id {
+			t.Fatalf("registry entry %d = %s, want %s", i, Registry[i].ID, id)
+		}
+		if tab := Registry[i].Run(cfg); tab.ID != id {
+			t.Fatalf("registry entry %s produced table %s", id, tab.ID)
 		}
 	}
 }

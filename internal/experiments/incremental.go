@@ -47,14 +47,17 @@ import (
 // warm assignment compared placement for placement — the `identical`
 // column must read true everywhere, making the speedup a pure
 // evaluation-order effect. Timing columns are machine-dependent; the
-// identical column, the reuse fractions, and the shape of the speedup
-// curve (falling as the delta batch grows) are the portable signal.
+// identical column, the reweighted-node and table counts, and the
+// shape of the speedup curve (falling as the delta batch grows) are the
+// portable signal. `nodes reweighted` is the mean, over repeats, of the
+// reused decomposition nodes whose boundary weight a reweighted edge
+// forced repair to recompute.
 func E26IncrementalRepartition(cfg Config) *Table {
 	t := &Table{
 		ID:    "E26",
 		Title: "Incremental repartitioning: decomposition repair + dirty-table reuse vs cold rebuild",
 		Columns: []string{"n", "deltas", "repair ms", "warm solve ms", "incremental ms",
-			"cold ms", "speedup", "nodes reused", "tables reused", "tables dirty", "identical", "fallbacks"},
+			"cold ms", "speedup", "nodes reweighted", "tables reused", "tables dirty", "identical", "fallbacks"},
 		Notes: "expected: identical=true and fallbacks=0 in every cell (bounded warm and cache-less cold DP " +
 			"over the same repaired decomposition agree placement for placement, and the certified " +
 			"ceiling never undershoots the optimum); single-edge reweight >= 10x over cold at n=256; " +
@@ -91,7 +94,8 @@ func E26IncrementalRepartition(cfg Config) *Table {
 			}
 
 			var repairMS, warmMS, incMS, coldMS []float64
-			var reusedFrac, tabReused, tabDirty float64
+			var tabReused, tabDirty float64
+			reweighted := 0
 			identical := true
 			fallbacks := 0
 			failed := false
@@ -127,7 +131,7 @@ func E26IncrementalRepartition(cfg Config) *Table {
 								repairMS = append(repairMS, rMS)
 								warmMS = append(warmMS, wMS)
 								incMS = append(incMS, rMS+wMS)
-								reusedFrac = rstats.ReusedFrac()
+								reweighted += rstats.NodesReweighted
 								tabReused = float64(warm.TablesReused)
 								tabDirty = float64(warm.TablesComputed)
 								fallbacks += warm.BoundFallbacks
@@ -168,7 +172,7 @@ func E26IncrementalRepartition(cfg Config) *Table {
 			inc := median(incMS)
 			cold := median(coldMS)
 			t.AddRow(n, k, median(repairMS), median(warmMS), inc, cold,
-				cold/inc, reusedFrac, tabReused, tabDirty, identical, fallbacks)
+				cold/inc, float64(reweighted)/float64(len(repairMS)), tabReused, tabDirty, identical, fallbacks)
 		}
 	}
 	return t

@@ -169,39 +169,6 @@ func E10KBGPConsistency(cfg Config) *Table {
 	return t
 }
 
-// All runs every experiment with the given configuration.
-func All(cfg Config) []*Table {
-	return []*Table{
-		E1TreeDPOptimality(cfg),
-		E2CostForms(cfg),
-		E3ViolationBound(cfg),
-		E4ApproxRatio(cfg),
-		E5VsBaselines(cfg),
-		E6StreamThroughput(cfg),
-		E7TreeDistortion(cfg),
-		E8DPScaling(cfg),
-		E9CMSweep(cfg),
-		E10KBGPConsistency(cfg),
-		E11AblationDP(cfg),
-		E12AblationTrees(cfg),
-		E13AblationRefinement(cfg),
-		E14EmbeddingCongestion(cfg),
-		E15DESStability(cfg),
-		E16AblationFlowRefine(cfg),
-		E17AblationStrategy(cfg),
-		E18DynamicRepartition(cfg),
-		E19EpsSweep(cfg),
-		E20AblationPruning(cfg),
-		E21AtScale(cfg),
-		E22AnytimeLadder(cfg),
-		E23WarmRestart(cfg),
-		E24MultiCoreMatrix(cfg),
-		E25CanonCache(cfg),
-		F1BadSetSplit(cfg),
-		F2ActiveSets(cfg),
-	}
-}
-
 // E14EmbeddingCongestion routes each decomposition-tree edge's weight
 // along its mapped graph path (m_E of §4) and reports the worst relative
 // edge load — the congestion quantity Theorem 6 bounds by O(log n) for

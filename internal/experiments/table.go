@@ -91,7 +91,7 @@ type Config struct {
 	// dependent rows are inherently non-reproducible across machines.
 	Budget time.Duration
 	// Tier, when non-empty, restricts E22's ladder to one rung
-	// ("full_dp", "capped_dp", or "baseline" — the hgpbench -tier flag).
+	// ("full_dp" or "baseline" — the hgpbench -tier flag).
 	Tier string
 }
 

@@ -85,9 +85,9 @@ type Solver struct {
 	// worker split with a shared atomic incumbent bound that tightens
 	// mid-DP, then re-validates outcomes against the sequential bound
 	// (portfolio.go: reducePortfolio), so both settings return
-	// bit-identical results; the knob exists for wall-clock A/Bs
-	// (hgpbench matrix) and as an operational escape hatch (hgpd
-	// -serial-portfolio). Ignored when Prune is off.
+	// bit-identical results; the knob is the reference the
+	// reducePortfolio identity battery compares against and the serial
+	// column of the hgpbench E24 matrix. Ignored when Prune is off.
 	SequentialPortfolio bool
 	// TreeCaches, when non-nil, must hold one hgpt.TableCache per
 	// decomposition tree (len == len(dec.Trees)); each tree's DP then

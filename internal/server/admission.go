@@ -235,7 +235,7 @@ const (
 
 // breaker is the memory-pressure circuit breaker: when the heap's
 // high-water crosses the configured ceiling the daemon stops running
-// the memory-hungry DP tiers and serves only the degradation ladder's
+// the memory-hungry DP tier and serves only the degradation ladder's
 // floor rung (or sheds, for no-degrade requests) until pressure
 // subsides. Open → half-open transitions probe with a single full
 // request; the probe's outcome closes or re-opens the breaker.

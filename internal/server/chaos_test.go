@@ -115,7 +115,7 @@ func TestChaosBattery(t *testing.T) {
 			return
 		}
 		switch d.Tier {
-		case "full_dp", "capped_dp", "baseline":
+		case "full_dp", "baseline":
 		default:
 			t.Errorf("seed %d: unknown tier %q", seed, d.Tier)
 		}

@@ -43,8 +43,8 @@ func TestPartitionLadderFullWins(t *testing.T) {
 	if resp.Degradation.Tier != "full_dp" || resp.Degradation.Degraded {
 		t.Fatalf("degradation = %+v, want undegraded full_dp", resp.Degradation)
 	}
-	if len(resp.Degradation.Tiers) != 3 {
-		t.Fatalf("tier reports = %+v, want 3 entries", resp.Degradation.Tiers)
+	if len(resp.Degradation.Tiers) != 2 {
+		t.Fatalf("tier reports = %+v, want 2 entries", resp.Degradation.Tiers)
 	}
 	if got := reg.Counter(`degraded_total{tier="full_dp"}`).Value(); got != 0 {
 		t.Fatalf("degraded counter = %d for an undegraded response", got)
@@ -56,12 +56,55 @@ func TestPartitionLadderFullWins(t *testing.T) {
 	}
 }
 
+// A cold ladder request builds exactly one decomposition: the full
+// tier is the ladder's only DP rung, and the baseline builds none.
+func TestColdLadderBuildsOneDecomposition(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{Registry: reg})
+	req := ladderRequest()
+	req.Trees = 4
+	rec := postPartition(t, s.Handler(), req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body = %s", rec.Code, rec.Body.String())
+	}
+	if got := reg.Counter("decomp_builds_total").Value(); got != 1 {
+		t.Fatalf("decomp_builds_total = %d after one cold ladder request, want 1", got)
+	}
+	resp := decodeResponse(t, rec)
+	if resp.Degradation == nil {
+		t.Fatal("ladder response missing degradation block")
+	}
+	var names []string
+	for _, tr := range resp.Degradation.Tiers {
+		names = append(names, tr.Name)
+	}
+	if fmt.Sprint(names) != "[full_dp baseline]" {
+		t.Fatalf("degradation.tiers = %v, want [full_dp baseline]", names)
+	}
+	if resp.Degradation.Tier != "full_dp" || resp.CacheHit {
+		t.Fatalf("cold request: tier %s cache_hit %v, want a full_dp win that built its decomposition",
+			resp.Degradation.Tier, resp.CacheHit)
+	}
+
+	// Only eps changed: a result-cache miss whose full tier reuses the
+	// cached decomposition, and the winning tier's response says so.
+	req.Eps = 0.25
+	warm := decodeResponse(t, postPartition(t, s.Handler(), req))
+	if warm.Degradation == nil || warm.Degradation.Tier != "full_dp" || !warm.CacheHit || warm.DecomposeMS != 0 {
+		t.Fatalf("eps-only repeat: degradation %+v cache_hit %v decompose_ms %v, want a full_dp decomposition-cache hit",
+			warm.Degradation, warm.CacheHit, warm.DecomposeMS)
+	}
+	if got := reg.Counter("decomp_builds_total").Value(); got != 1 {
+		t.Fatalf("decomp_builds_total = %d after a decomposition-cache hit, want 1", got)
+	}
+}
+
 // When the DP backend cannot finish inside the deadline, the baseline
 // rung serves a valid placement with HTTP 200 instead of a 504.
 func TestPartitionLadderDegradesToBaseline(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := newTestServer(t, Config{Registry: reg})
-	s.solve = blockingSolve(nil, nil) // DP tiers hang until their ctx dies
+	s.solve = blockingSolve(nil, nil) // the DP tier hangs until its ctx dies
 
 	req := ladderRequest()
 	req.TimeoutMS = 100

@@ -111,7 +111,7 @@ type PartitionResponse struct {
 // the full pipeline, and the per-tier post-mortems.
 type DegradationResponse struct {
 	// Tier names the rung that produced the returned placement:
-	// "full_dp", "capped_dp", or "baseline".
+	// "full_dp" or "baseline".
 	Tier string `json:"tier"`
 	// Degraded is true when the caller got anything less than the full
 	// pipeline's complete answer.
@@ -181,7 +181,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		Eps: req.Eps, Trees: req.Trees, Seed: req.Seed,
 		FMPasses: req.FMPasses, FlowRefine: req.FlowRefine,
 		Workers: s.cfg.SolverWorkers, MaxStates: maxStates,
-		SequentialPortfolio: s.cfg.SerialPortfolio,
 	}
 
 	// Canonicalization: map the submission to its canonical vertex
@@ -354,26 +353,20 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 				ladderOpts.Only = &floor
 				s.reg.Counter("breaker_floor_served_total").Inc()
 			}
-			// The ladder path: full pipeline, capped DP, and the heuristic
-			// baseline race under the request's deadline; the best feasible
-			// placement available wins. The DP tiers run through s.solve so
-			// they share the decomposition cache and singleflight group;
-			// TierFromContext attributes each backend call's cache outcome
-			// and phase timings to its tier, so the response reports the
-			// winning tier's numbers.
-			type tierPhases struct {
-				hit          bool
-				decomp, slve time.Duration
-			}
+			// The ladder path: the full pipeline and the heuristic baseline
+			// race under the request's deadline; the best feasible placement
+			// available wins. The full tier runs through s.solve so it shares
+			// the decomposition cache and singleflight group. Its cache
+			// outcome and phase timings are reported when it wins; a
+			// baseline win has neither phase.
 			var phaseMu sync.Mutex
-			phases := map[anytime.Tier]tierPhases{}
+			var fullHit bool
+			var fullDecomp, fullSolve time.Duration
 			ladderOpts.SolveDP = func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error) {
 				r, hit, d, sd, serr := s.solve(ctx, g, H, sv, cn)
-				if tier, ok := anytime.TierFromContext(ctx); ok && serr == nil {
-					phaseMu.Lock()
-					phases[tier] = tierPhases{hit: hit, decomp: d, slve: sd}
-					phaseMu.Unlock()
-				}
+				phaseMu.Lock()
+				fullHit, fullDecomp, fullSolve = hit, d, sd
+				phaseMu.Unlock()
 				return r, serr
 			}
 			out, serr := anytime.Solve(ctx, gSolve, H, ladderOpts)
@@ -381,10 +374,11 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 				return nil, serr
 			}
 			oc.res = out.Result
-			phaseMu.Lock()
-			ph := phases[out.Tier]
-			phaseMu.Unlock()
-			oc.cacheHit, oc.decompDur, oc.solveDur = ph.hit, ph.decomp, ph.slve
+			if out.Tier == anytime.TierFullDP {
+				phaseMu.Lock()
+				oc.cacheHit, oc.decompDur, oc.solveDur = fullHit, fullDecomp, fullSolve
+				phaseMu.Unlock()
+			}
 			oc.degResp = &DegradationResponse{
 				Tier:      out.Tier.String(),
 				Degraded:  out.Degraded,
@@ -632,9 +626,6 @@ type portfolioBlock struct {
 	ParallelTrees         int64 `json:"parallel_trees"`
 	ParallelSolvesTotal   int64 `json:"parallel_solves_total"`
 	SequentialSolvesTotal int64 `json:"sequential_solves_total"`
-	// SerialForced reports the -serial-portfolio escape hatch: when
-	// true, every pruned portfolio runs trees one at a time.
-	SerialForced bool `json:"serial_forced"`
 }
 
 // breakerStats is the `breaker` block of /v1/stats.
@@ -736,7 +727,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ParallelTrees:         s.reg.Gauge("portfolio_parallel_trees").Value(),
 		ParallelSolvesTotal:   s.reg.Counter("portfolio_parallel_solves_total").Value(),
 		SequentialSolvesTotal: s.reg.Counter("portfolio_sequential_solves_total").Value(),
-		SerialForced:          s.cfg.SerialPortfolio,
 	}
 	resp.Canon = canonBlock{
 		Enabled:        s.cfg.Canon,

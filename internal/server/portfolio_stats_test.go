@@ -24,7 +24,7 @@ func TestPortfolioStatsBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Portfolio.TreesPrunedTotal != 0 || st.Portfolio.ParallelSolvesTotal != 0 ||
-		st.Portfolio.SequentialSolvesTotal != 0 || st.Portfolio.SerialForced {
+		st.Portfolio.SequentialSolvesTotal != 0 {
 		t.Fatalf("pre-solve portfolio block not zero: %+v", st.Portfolio)
 	}
 	prom := getPath(s, "/v1/stats?format=prometheus").Body.String()
@@ -71,22 +71,18 @@ func TestPortfolioStatsBlock(t *testing.T) {
 	}
 }
 
-// TestSerialPortfolioFlag: Config.SerialPortfolio (hgpd
-// -serial-portfolio) surfaces in the stats block and forces one-at-a-
-// time trees on every solve that prunes; a single-worker budget
-// reports a sequential solve either way.
-func TestSerialPortfolioFlag(t *testing.T) {
+// TestSingleWorkerPortfolioIsSequential: a single-worker budget runs
+// the pruned portfolio one tree at a time, and the stats block counts
+// the solve as sequential.
+func TestSingleWorkerPortfolioIsSequential(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := newTestServer(t, Config{Registry: reg, SolverWorkers: 1, SerialPortfolio: true})
+	s := newTestServer(t, Config{Registry: reg, SolverWorkers: 1})
 	if rec := postPartition(t, s.Handler(), testRequest()); rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", rec.Code, rec.Body.String())
 	}
 	var st StatsResponse
 	if err := json.Unmarshal(getPath(s, "/v1/stats").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
-	}
-	if !st.Portfolio.SerialForced {
-		t.Fatal("serial_forced missing from the stats block")
 	}
 	if st.Portfolio.ParallelTrees != 1 || st.Portfolio.SequentialSolvesTotal != 1 {
 		t.Fatalf("portfolio block = %+v, want parallel_trees 1, sequential_solves_total 1", st.Portfolio)

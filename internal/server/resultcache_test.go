@@ -169,7 +169,7 @@ func TestResultCacheSkipsDegradedResults(t *testing.T) {
 	s := newTestServer(t, Config{Registry: reg})
 
 	real := s.solve
-	s.solve = blockingSolve(nil, nil) // DP tiers hang until their ctx dies
+	s.solve = blockingSolve(nil, nil) // the DP tier hangs until its ctx dies
 	req := ladderRequest()
 	req.TimeoutMS = 100
 	rec := postPartition(t, s.Handler(), req)

@@ -66,12 +66,6 @@ type Config struct {
 	// SolverWorkers is the per-solve concurrency budget
 	// (hgp.Solver.Workers). Zero means GOMAXPROCS.
 	SolverWorkers int
-	// SerialPortfolio forces the pruned tree portfolio to run trees one
-	// at a time (hgp.Solver.SequentialPortfolio) instead of racing them
-	// under a shared incumbent bound. Results are bit-identical either
-	// way; this is an operational escape hatch (and A/B knob) for the
-	// concurrent portfolio, surfaced as hgpd -serial-portfolio.
-	SerialPortfolio bool
 	// MaxStates caps the DP state budget per request; requests may ask
 	// for less but never more. Zero means 50 million (a guard against
 	// pathological instances, not a tuning knob).

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tree is a rooted tree. Node 0 is always the root. Nodes are appended
@@ -24,6 +25,19 @@ func New() *Tree {
 		demand:   []float64{0},
 		label:    []int{-1},
 	}
+}
+
+// Grow ensures the tree has room for n more nodes without
+// reallocating, in the style of slices.Grow. Builders that know their
+// final size call it once: a bisection tree over k vertices has exactly
+// 2k−1 nodes, so its node arrays need not carry append's spare
+// capacity for as long as the tree lives.
+func (t *Tree) Grow(n int) {
+	t.parent = slices.Grow(t.parent, n)
+	t.wParent = slices.Grow(t.wParent, n)
+	t.children = slices.Grow(t.children, n)
+	t.demand = slices.Grow(t.demand, n)
+	t.label = slices.Grow(t.label, n)
 }
 
 // AddChild appends a new node under parent with the given edge weight

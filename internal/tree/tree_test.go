@@ -373,3 +373,45 @@ func TestBinarizePreservesCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fillBisection appends the nodes of a complete bisection tree over
+// k leaves (2k−1 nodes) under the root of t.
+func fillBisection(t *Tree, node, k int) {
+	if k == 1 {
+		return
+	}
+	for _, part := range []int{k / 2, k - k/2} {
+		fillBisection(t, t.AddChild(node, 1), part)
+	}
+}
+
+// A grown tree fills without reallocating its node arrays, so building
+// it allocates less than building an ungrown one.
+func TestGrowPresizesNodeArrays(t *testing.T) {
+	const k = 100
+	grown := testing.AllocsPerRun(20, func() {
+		tr := New()
+		tr.Grow(2*k - 2)
+		fillBisection(tr, 0, k)
+	})
+	ungrown := testing.AllocsPerRun(20, func() {
+		fillBisection(New(), 0, k)
+	})
+	if grown >= ungrown {
+		t.Fatalf("grown tree: %v allocs per build, ungrown: %v; Grow saved nothing", grown, ungrown)
+	}
+
+	tr := New()
+	tr.Grow(2*k - 2)
+	before := cap(tr.parent)
+	fillBisection(tr, 0, k)
+	if tr.N() != 2*k-1 {
+		t.Fatalf("N = %d, want %d", tr.N(), 2*k-1)
+	}
+	if cap(tr.parent) != before {
+		t.Fatalf("node arrays reallocated during fill: cap %d -> %d", before, cap(tr.parent))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -304,6 +304,9 @@ func repairOne(ctx context.Context, g *graph.Graph, old *DecompTree, ti int, dir
 		}
 	}
 	nt := &DecompTree{T: tree.New(), LeafOf: make([]int, g.N())}
+	// Deltas never change the vertex count, so the repaired bisection
+	// tree has exactly as many nodes as the old one.
+	nt.T.Grow(old.T.N() - 1)
 	b := &builder{ctx: ctx, g: g, rng: rng, passes: passes, flowRef: opt.FlowRefine, strat: opt.Strategy, dt: nt}
 
 	var walk func(oldNode, newNode int) error

@@ -195,6 +195,7 @@ func buildOne(ctx context.Context, g *graph.Graph, rng *rand.Rand, passes int, f
 		T:      tree.New(),
 		LeafOf: make([]int, g.N()),
 	}
+	dt.T.Grow(2*g.N() - 2) // a bisection tree has 2n−1 nodes, the root included
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v
