@@ -40,7 +40,6 @@ func main() {
 		maxStates   = flag.Int("max-states", 50_000_000, "per-request DP state budget ceiling")
 		maxVertices = flag.Int("max-vertices", 100_000, "reject graphs with more vertices than this (413)")
 		maxEdges    = flag.Int("max-edges", 2_000_000, "reject graphs with more edges than this (413)")
-		noDegrade   = flag.Bool("no-degrade", false, "disable the anytime degradation ladder daemon-wide (missed deadlines become 504s)")
 		maxSessions = flag.Int("max-sessions", 64, "graph-session LRU entries (/v1/graphs incremental repartitioning); least recently used sessions are evicted (-1 = disable sessions)")
 		drainWait   = flag.Duration("drain-wait", time.Minute, "how long shutdown waits for in-flight solves")
 
@@ -108,7 +107,6 @@ func main() {
 		MaxStates:          *maxStates,
 		MaxVertices:        *maxVertices,
 		MaxEdges:           *maxEdges,
-		DisableDegradation: *noDegrade,
 		MaxSessions:        *maxSessions,
 		StateDir:           *stateDir,
 		SnapshotInterval:   *snapInterval,

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -423,5 +424,35 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("args %v: error message %q lacks guidance", tc.args, out)
 			}
 		})
+	}
+}
+
+// TestFlagTableMatchesHelp: API.md's flag table calls itself the
+// complete `hgpd -h` surface, so its flag names must be exactly the
+// flags the built binary prints.
+func TestFlagTableMatchesHelp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the built binary; skipped with -short")
+	}
+	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := exec.Command(buildBinary(t, t.TempDir(), "hgpd"), "-h").CombinedOutput()
+	names := func(re, text string) []string {
+		var got []string
+		for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(text, -1) {
+			got = append(got, m[1])
+		}
+		sort.Strings(got)
+		return got
+	}
+	table := names("(?m)^\\| `(-[a-z-]+)` \\|", string(doc))
+	help := names(`(?m)^  (-[a-z-]+)`, string(out))
+	if len(help) == 0 {
+		t.Fatalf("no flags parsed from hgpd -h:\n%s", out)
+	}
+	if strings.Join(table, " ") != strings.Join(help, " ") {
+		t.Fatalf("API.md flag table != hgpd -h\ntable: %v\nhelp:  %v", table, help)
 	}
 }

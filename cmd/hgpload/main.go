@@ -6,17 +6,12 @@
 // and prints a JSON summary with latency percentiles and the fraction of
 // 200s the daemon answered from its full-solve result cache.
 //
-// Three workload shapes are available: -workload seeds (the default;
-// one fixed two-clique instance under rotating decomposition seeds),
+// Two workload shapes are available: -workload seeds (the default; one
+// fixed two-clique instance under rotating decomposition seeds) and
 // -workload zipf (a zipf-distributed multi-tenant population, each
 // tenant resubmitting its own streaming-topology instance under fresh
 // vertex relabellings — the shape canonical fingerprinting exists for;
-// pair it with a daemon running -canon and watch canon_hit_ratio), and
-// -workload delta (the incremental repartitioning shape: each tenant
-// registers its instance as a graph session once, then the load is
-// PATCH-a-delta-then-solve against /v1/graphs — the summary splits
-// incremental from cold solves, reports the mean dirty-table fraction,
-// and prints separate delta-vs-cold latency percentiles).
+// pair it with a daemon running -canon and watch canon_hit_ratio).
 //
 // With -endpoints a,b,c it drives a whole hgpd cluster: requests
 // rotate across the endpoints, transport errors fail over to the next
@@ -208,181 +203,6 @@ type sample struct {
 	endpoint  string   // base URL that produced the final outcome
 	failovers int      // endpoints abandoned (transport error) before this outcome
 	abandoned []string // base URLs of those abandoned attempts, in order
-
-	// Delta-workload fields (session solves against /v1/graphs).
-	session     bool    // sample is a session solve
-	incremental bool    // solve took the repair + warm-table path
-	stored      bool    // solve replayed the stored previous response
-	dirtyFrac   float64 // dirty_table_frac of an incremental solve
-}
-
-// deltaWorkload drives the incremental repartitioning surface: every
-// tenant owns one registered graph session; each shot draws a tenant
-// from the zipf distribution, usually PATCHes one random edge reweight
-// (probability -patch-prob), then solves the session. Solves are the
-// recorded samples; patch outcomes only steer the session version.
-type deltaWorkload struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	zipf *rand.Zipf
-
-	client    *http.Client
-	base      string
-	timeout   int
-	patchProb float64
-	sessions  []*deltaSession
-}
-
-// deltaSession is one tenant's registered session. Its mutex serializes
-// this client's patch+solve pairs (the daemon serializes per-session
-// anyway; holding the pair together keeps the version bookkeeping
-// simple and conflict-free within one hgpload process).
-type deltaSession struct {
-	mu      sync.Mutex
-	id      string
-	version int64
-	edges   [][3]float64
-}
-
-// newDeltaWorkload registers one session per tenant (same streaming
-// topology families as the zipf workload) against base. Registration
-// happens before load starts; a daemon that cannot register sessions is
-// a startup error, not a sample.
-func newDeltaWorkload(base string, client *http.Client, tenants int, s float64, trees, timeoutMS int, patchProb float64) (*deltaWorkload, error) {
-	rng := rand.New(rand.NewSource(1))
-	w := &deltaWorkload{
-		rng:       rng,
-		zipf:      rand.NewZipf(rng, s, 1, uint64(tenants-1)),
-		client:    client,
-		base:      strings.TrimRight(base, "/"),
-		timeout:   timeoutMS,
-		patchProb: patchProb,
-	}
-	for t := 0; t < tenants; t++ {
-		trng := rand.New(rand.NewSource(int64(t) + 1000))
-		var g *graph.Graph
-		switch t % 4 {
-		case 0:
-			g = stream.Pipeline(trng, 4, 3, 0.1, 0.4, 64).CommGraph()
-		case 1:
-			g = stream.Diamond(trng, 3, 0.1, 0.4, 64).CommGraph()
-		case 2:
-			g = stream.FanInAggregation(trng, 4, 2, 0.1, 0.4, 60).CommGraph()
-		default:
-			g = stream.WordCount(trng, 3, 3, 0.1, 0.4, 64).CommGraph()
-		}
-		demands := make([]float64, g.N())
-		for v := 0; v < g.N(); v++ {
-			demands[v] = g.Demand(v)
-		}
-		var edges [][3]float64
-		for _, e := range g.Edges() {
-			edges = append(edges, [3]float64{float64(e.U), float64(e.V), e.Weight})
-		}
-		body, err := json.Marshal(map[string]any{
-			"hierarchy": map[string]any{"deg": []int{2, 4}, "cm": []float64{8, 2, 0}},
-			"n":         g.N(),
-			"demands":   demands,
-			"edges":     edges,
-			"seed":      1,
-			"trees":     trees,
-		})
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Post(w.base+"/v1/graphs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("registering tenant %d: %w", t, err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			return nil, fmt.Errorf("registering tenant %d: status %d: %s", t, resp.StatusCode, raw)
-		}
-		var view struct {
-			ID      string `json:"id"`
-			Version int64  `json:"version"`
-		}
-		if err := json.Unmarshal(raw, &view); err != nil || view.ID == "" {
-			return nil, fmt.Errorf("registering tenant %d: bad response %q", t, raw)
-		}
-		w.sessions = append(w.sessions, &deltaSession{id: view.ID, version: view.Version, edges: edges})
-	}
-	return w, nil
-}
-
-// shoot performs one patch-then-solve round against a zipf-drawn
-// tenant's session and records the solve. Return value: backoff for a
-// closed-loop worker, as with the one-shot shoot.
-func (w *deltaWorkload) shoot(record func(sample)) time.Duration {
-	w.mu.Lock()
-	sess := w.sessions[int(w.zipf.Uint64())]
-	doPatch := w.rng.Float64() < w.patchProb
-	ei := w.rng.Intn(len(sess.edges))
-	weight := 1 + 9*w.rng.Float64()
-	w.mu.Unlock()
-
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if doPatch {
-		e := sess.edges[ei]
-		body, _ := json.Marshal(map[string]any{
-			"version": sess.version,
-			"deltas": []map[string]any{{
-				"op": "reweight_edge", "u": int(e[0]), "v": int(e[1]), "weight": weight,
-			}},
-		})
-		req, _ := http.NewRequest(http.MethodPatch, w.base+"/v1/graphs/"+sess.id, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := w.client.Do(req)
-		if err != nil {
-			record(sample{err: true, session: true, endpoint: w.base})
-			return 50 * time.Millisecond
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			var view struct {
-				Version int64 `json:"version"`
-			}
-			if json.Unmarshal(raw, &view) == nil {
-				sess.version = view.Version
-			}
-		}
-		// Non-200 patches (conflict from another client, shed) fall
-		// through: the solve below still measures the daemon.
-	}
-
-	t0 := time.Now()
-	body, _ := json.Marshal(map[string]any{"timeout_ms": w.timeout})
-	resp, err := w.client.Post(w.base+"/v1/graphs/"+sess.id+"/partition", "application/json", bytes.NewReader(body))
-	if err != nil {
-		record(sample{err: true, session: true, latency: time.Since(t0), endpoint: w.base})
-		return 50 * time.Millisecond
-	}
-	var envelope struct {
-		ShedReason     string  `json:"shed_reason"`
-		Incremental    bool    `json:"incremental"`
-		Stored         bool    `json:"stored"`
-		DirtyTableFrac float64 `json:"dirty_table_frac"`
-		Version        int64   `json:"version"`
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	_ = json.Unmarshal(raw, &envelope)
-	if envelope.Version > sess.version {
-		sess.version = envelope.Version
-	}
-	record(sample{
-		status: resp.StatusCode, shed: envelope.ShedReason,
-		latency: time.Since(t0), endpoint: w.base,
-		session: true, incremental: envelope.Incremental,
-		stored: envelope.Stored, dirtyFrac: envelope.DirtyTableFrac,
-	})
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		return 50 * time.Millisecond
-	}
-	return 0
 }
 
 // endpointPool rotates load across the -endpoints list and implements
@@ -472,18 +292,6 @@ type Summary struct {
 	// response). Always zero unless the daemons run with -peers.
 	PeerFetchHits     int     `json:"peer_fetch_hits"`
 	PeerFetchHitRatio float64 `json:"peer_fetch_hit_ratio"`
-	// Delta-workload accounting (zero unless -workload delta): the
-	// incremental/cold/stored split over session solves, the mean
-	// dirty-table fraction of incremental solves (the share of DP
-	// tables actually recomputed), and separate latency percentiles for
-	// incremental ("delta") vs cold session solves — the load-side view
-	// of the speedup the E26 experiment measures.
-	IncrementalSolves int                `json:"incremental_solves,omitempty"`
-	ColdSolves        int                `json:"cold_solves,omitempty"`
-	StoredReplays     int                `json:"stored_replays,omitempty"`
-	DirtyTableFrac    float64            `json:"dirty_table_frac,omitempty"`
-	DeltaLatencyMS    map[string]float64 `json:"delta_latency_ms,omitempty"`
-	ColdLatencyMS     map[string]float64 `json:"cold_latency_ms,omitempty"`
 	// Failovers counts endpoint attempts abandoned on transport error
 	// before the request's recorded outcome (multi-endpoint mode).
 	Failovers int `json:"failovers"`
@@ -543,10 +351,9 @@ func main() {
 		seeds     = flag.Int("seeds", 4, "rotate this many decomposition seeds (cache hit/miss mix; seeds workload only)")
 		trees     = flag.Int("trees", 2, "trees per request")
 		timeoutMS = flag.Int("timeout-ms", 2000, "per-request deadline sent to the daemon")
-		workload  = flag.String("workload", "seeds", `"seeds" (one instance, rotating decomposition seeds), "zipf" (multi-tenant: zipf-distributed tenants resubmitting relabelled instances), or "delta" (multi-tenant graph sessions: PATCH one edge delta then solve incrementally via /v1/graphs)`)
-		tenants   = flag.Int("tenants", 16, "zipf/delta workload: tenant population size")
-		zipfS     = flag.Float64("zipf-s", 1.3, "zipf/delta workload: skew exponent (must be > 1; larger = hotter head tenants)")
-		patchProb = flag.Float64("patch-prob", 0.8, "delta workload: probability a session solve is preceded by a one-edge PATCH (the rest re-solve the unchanged version and measure stored replays)")
+		workload  = flag.String("workload", "seeds", `"seeds" (one instance, rotating decomposition seeds) or "zipf" (multi-tenant: zipf-distributed tenants resubmitting relabelled instances)`)
+		tenants   = flag.Int("tenants", 16, "zipf workload: tenant population size")
+		zipfS     = flag.Float64("zipf-s", 1.3, "zipf workload: skew exponent (must be > 1; larger = hotter head tenants)")
 		strict    = flag.Bool("strict", false, "exit 1 on any transport error or unexpected status")
 		sloP99    = flag.Duration("slo-p99", 0, "exit 1 when the p99 latency of 200s exceeds this (0 = no assertion)")
 		sloOK     = flag.Float64("slo-success", 0, "exit 1 when the fraction of requests answered 200 is below this")
@@ -554,14 +361,9 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 0 || (*mode != "closed" && *mode != "open") || *workers < 1 || *rate <= 0 ||
 		*duration <= 0 || *seeds < 1 || *timeoutMS < 0 || *failCool <= 0 ||
-		(*workload != "seeds" && *workload != "zipf" && *workload != "delta") ||
-		*tenants < 2 || *zipfS <= 1 || *patchProb < 0 || *patchProb > 1 {
+		(*workload != "seeds" && *workload != "zipf") || *tenants < 2 || *zipfS <= 1 {
 		fmt.Fprintln(os.Stderr, "usage: hgpload [flags]")
 		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	if *workload == "delta" && *endpoints != "" {
-		fmt.Fprintln(os.Stderr, "hgpload: -workload delta drives one daemon's session store; -endpoints is not supported")
 		os.Exit(2)
 	}
 
@@ -656,14 +458,6 @@ func main() {
 		}
 		return 0 // unreachable: order() is never empty
 	}
-	if *workload == "delta" {
-		dw, err := newDeltaWorkload(bases[0], client, *tenants, *zipfS, *trees, *timeoutMS, *patchProb)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hgpload: delta workload: %v\n", err)
-			os.Exit(1)
-		}
-		shoot = func(int) time.Duration { return dw.shoot(record) }
-	}
 
 	start := time.Now()
 	deadline := start.Add(*duration)
@@ -734,8 +528,7 @@ func main() {
 		}
 		return es
 	}
-	var okLat, deltaLat, coldLat []time.Duration
-	dirtySum := 0.0
+	var okLat []time.Duration
 	for _, s := range samples {
 		sum.Failovers += s.failovers
 		// Per-endpoint failover ledger: each abandoned attempt debits
@@ -772,19 +565,6 @@ func main() {
 			if s.peerFetch {
 				sum.PeerFetchHits++
 			}
-			if s.session {
-				switch {
-				case s.stored:
-					sum.StoredReplays++
-				case s.incremental:
-					sum.IncrementalSolves++
-					dirtySum += s.dirtyFrac
-					deltaLat = append(deltaLat, s.latency)
-				default:
-					sum.ColdSolves++
-					coldLat = append(coldLat, s.latency)
-				}
-			}
 			okLat = append(okLat, s.latency)
 			epLat[s.endpoint] = append(epLat[s.endpoint], s.latency)
 		case s.status == http.StatusTooManyRequests, s.status == http.StatusGatewayTimeout:
@@ -796,13 +576,6 @@ func main() {
 		}
 	}
 	sum.LatencyMS = latencyStats(okLat)
-	if sum.IncrementalSolves > 0 {
-		sum.DirtyTableFrac = dirtySum / float64(sum.IncrementalSolves)
-		sum.DeltaLatencyMS = latencyStats(deltaLat)
-	}
-	if sum.ColdSolves > 0 {
-		sum.ColdLatencyMS = latencyStats(coldLat)
-	}
 	if sum.OK > 0 {
 		sum.Throughput = float64(sum.OK) / elapsed.Seconds()
 		sum.ResultCacheHitRatio = float64(sum.ResultCacheHits) / float64(sum.OK)

@@ -72,22 +72,43 @@ func (c *LRU) Peek(key string) (any, bool) {
 }
 
 // Add inserts val under key (refreshing the entry if present), evicting
-// the least recently used entry when the cache is full.
-func (c *LRU) Add(key string, val any) {
+// the least recently used entry when the cache is full. It returns the
+// evicted value, or nil when nothing was evicted, so a caller whose
+// values own outside resources can release them.
+func (c *LRU) Add(key string, val any) (evicted any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).val = val
 		c.ll.MoveToFront(el)
-		return
+		return nil
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	if c.ll.Len() > c.cap {
-		cold := c.ll.Back()
-		c.ll.Remove(cold)
-		delete(c.items, cold.Value.(*lruEntry).key)
-		c.evictions++
+	if c.ll.Len() <= c.cap {
+		return nil
 	}
+	c.evictions++
+	return c.removeLocked(c.ll.Back())
+}
+
+// Remove deletes key and returns its value. A removal is the caller's
+// decision, not an eviction: it ticks neither the eviction counter nor
+// the hit/miss counters.
+func (c *LRU) Remove(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	return c.removeLocked(el), true
+}
+
+func (c *LRU) removeLocked(el *list.Element) any {
+	c.ll.Remove(el)
+	e := el.Value.(*lruEntry)
+	delete(c.items, e.key)
+	return e.val
 }
 
 // Keys returns a snapshot of the cached keys, most recently used

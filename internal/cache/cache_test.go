@@ -68,6 +68,45 @@ func TestLRUAddRefreshesExisting(t *testing.T) {
 	}
 }
 
+func TestLRUAddReturnsEvicted(t *testing.T) {
+	c := New(2)
+	if ev := c.Add("a", 1); ev != nil {
+		t.Fatalf("Add(a) into room evicted %v", ev)
+	}
+	c.Add("b", 2)
+	if ev := c.Add("a", 10); ev != nil {
+		t.Fatalf("refreshing a evicted %v", ev)
+	}
+	if ev := c.Add("c", 3); ev != 2 {
+		t.Fatalf("Add(c) evicted %v, want b's value 2", ev)
+	}
+	if s := c.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	}
+}
+
+func TestLRURemoveIsNotEvictionOrLookup(t *testing.T) {
+	c := New(2)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	if v, ok := c.Remove("a"); !ok || v != 1 {
+		t.Fatalf("Remove(a) = %v, %v, want 1, true", v, ok)
+	}
+	if v, ok := c.Remove("a"); ok || v != nil {
+		t.Fatalf("second Remove(a) = %v, %v, want nil, false", v, ok)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.Evictions != 0 || s.Len != 1 {
+		t.Fatalf("stats after Remove = %+v, want no hits, misses or evictions and len 1", s)
+	}
+	// The freed slot takes a new key without evicting b.
+	if ev := c.Add("c", 3); ev != nil {
+		t.Fatalf("Add(c) after Remove evicted %v", ev)
+	}
+	if _, ok := c.Peek("b"); !ok {
+		t.Fatal("b should have survived")
+	}
+}
+
 func TestLRUMinimumCapacity(t *testing.T) {
 	c := New(0)
 	c.Add("a", 1)

@@ -339,6 +339,54 @@ func TestBreakerFloorsAndRecovers(t *testing.T) {
 	}
 }
 
+// Session solves are gated like no_degrade requests (they have no floor
+// tier): 503 breaker_open with Retry-After while the breaker is open,
+// and a half-open session solve is the probe that closes it — a fresh
+// solve, and equally a stored replay.
+func TestSessionSolveHonoursBreaker(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{Registry: reg, MaxHeapBytes: 1000, BreakerCooldown: 50 * time.Millisecond})
+	heap := uint64(2000)
+	var mu sync.Mutex
+	setHeap := func(v uint64) { mu.Lock(); heap = v; mu.Unlock() }
+	s.brk.readHeap = func() uint64 { mu.Lock(); defer mu.Unlock(); return heap }
+	h := s.Handler()
+	view := createSession(t, h, sessionCreateRequest())
+	path := "/v1/graphs/" + view.ID + "/partition"
+
+	shed := func(what string) {
+		t.Helper()
+		rec := doJSON(t, h, http.MethodPost, path, nil)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"shed_reason": "breaker_open"`) {
+			t.Fatalf("%s: session solve = %d %s, want 503 breaker_open", what, rec.Code, rec.Body.String())
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s: 503 breaker_open must carry Retry-After", what)
+		}
+	}
+	probe := func(what string, stored bool) {
+		t.Helper()
+		setHeap(100)
+		time.Sleep(60 * time.Millisecond) // past the cooldown
+		if resp := solveSession(t, h, view.ID, nil); resp.Stored != stored {
+			t.Fatalf("%s: stored = %v, want %v", what, resp.Stored, stored)
+		}
+		if state, _, _ := s.brk.snapshot(); state != breakerClosed {
+			t.Fatalf("%s: breaker state after the session probe = %d, want closed", what, state)
+		}
+	}
+
+	shed("first solve under pressure")
+	probe("fresh solve", false)
+
+	// Trip again (after the heap sampler's 100ms rate limit lapses);
+	// the unchanged session now replays its stored answer as the probe.
+	setHeap(2000)
+	time.Sleep(110 * time.Millisecond)
+	shed("stored replay under pressure")
+	probe("stored replay", true)
+}
+
 // A half-open probe request that dies before the solve (here: an
 // injected ServerSolve fault; the same applies to queue-full sheds,
 // waiting-room deadline expiry, and client cancels) must still settle

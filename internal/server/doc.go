@@ -12,6 +12,10 @@
 //	→ per-tree signature DPs (§3, hgp.Solver.SolveDecomposition)
 //	→ respond (assignment, costs, per-tree diagnostics, phase timings)
 //
+// The session routes (/v1/graphs) run the same drain, decode,
+// validation, admission and error-mapping stages (pipeline.go), so both
+// solve routes shed and fail alike.
+//
 // Shutdown is graceful: Drain flips /v1/healthz to "draining" and
 // rejects new solves with 503 while Shutdown waits for every in-flight
 // solve to finish.

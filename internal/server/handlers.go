@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -101,8 +98,7 @@ type PartitionResponse struct {
 	DecomposeMS float64 `json:"decompose_ms"`
 	SolveMS     float64 `json:"solve_ms"`
 	// Degradation reports how the anytime ladder resolved this request;
-	// omitted when the request opted out with no_degrade (or the daemon
-	// disables degradation).
+	// omitted when the request opted out with no_degrade.
 	Degradation *DegradationResponse `json:"degradation,omitempty"`
 }
 
@@ -130,57 +126,23 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
 		return
 	}
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
 	start := time.Now()
 	s.reg.Counter("partition_requests_total").Inc()
 
-	// Decode and validate before consuming any queue capacity: malformed
-	// requests must not push well-formed ones into load shedding.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req PartitionRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decode(w, r, &req, false) {
 		return
 	}
-	if req.N > s.cfg.MaxVertices {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d vertices, server limit is %d", req.N, s.cfg.MaxVertices))
-		return
-	}
-	if len(req.Edges) > s.cfg.MaxEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d edges, server limit is %d", len(req.Edges), s.cfg.MaxEdges))
-		return
-	}
-	g, H, err := req.Instance.Materialize()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", err.Error())
-		return
-	}
-	if g.N() == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", "graph has no vertices")
-		return
-	}
-	if req.Eps < 0 || req.Trees < 0 || req.FMPasses < 0 || req.MaxStates < 0 || req.TimeoutMS < 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "negative solver parameter")
-		return
-	}
-
-	maxStates := req.MaxStates
-	if maxStates == 0 || maxStates > s.cfg.MaxStates {
-		maxStates = s.cfg.MaxStates
-	}
-	sv := hgp.Solver{
+	g, H, sv, ok := s.prepare(w, &req.Instance, hgp.Solver{
 		Eps: req.Eps, Trees: req.Trees, Seed: req.Seed,
-		FMPasses: req.FMPasses, FlowRefine: req.FlowRefine,
-		Workers: s.cfg.SolverWorkers, MaxStates: maxStates,
+		FMPasses: req.FMPasses, FlowRefine: req.FlowRefine, MaxStates: req.MaxStates,
+	}, req.TimeoutMS)
+	if !ok {
+		return
 	}
 
 	// Canonicalization: map the submission to its canonical vertex
@@ -252,81 +214,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Per-request deadline, also cancelled when the client disconnects:
-	// a dead client stops burning the worker budget (the context is
-	// threaded through treedecomp.BuildContext and the hgpt scheduler),
-	// and the limiter orders its waiting room by this deadline.
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	ctx, pfm := withPeerFetchMark(ctx)
-
-	// The memory-pressure breaker decides the service mode before any
-	// solve capacity is spent: floor-only service while open, a single
-	// full-service probe when half-open.
-	mode := s.brk.admit()
-	s.publishBreakerGauges()
-	// A probe must settle on every exit path: if it is shed before the
-	// solve (queue full, deadline expired while queued, client cancel,
-	// injected fault) and probeDone never ran, the half-open slot would
-	// leak and the breaker could never close — floor-only service until
-	// restart. The deferred settlement reports failure unless the solve
-	// path already settled with its real outcome.
-	probeSettled := false
-	settleProbe := func(ok bool) {
-		if probeSettled {
-			return
-		}
-		probeSettled = true
-		s.brk.probeDone(ok)
-		s.publishBreakerGauges()
-	}
-	if mode == modeProbe {
-		defer settleProbe(false)
-	}
-	if mode == modeFloor && (req.NoDegrade || s.cfg.DisableDegradation) {
-		_, _, retry := s.brk.snapshot()
-		s.writeShed(w, http.StatusServiceUnavailable, "breaker_open", shedBreakerOpen,
-			"memory pressure: full-service requests are shed while the breaker is open", retry)
+	a := s.admit(w, r, start, req.TimeoutMS, req.NoDegrade)
+	if a == nil {
 		return
 	}
-
-	// Admission: the deadline-ordered waiting room, then a solve slot.
-	// The queue gauge counts requests past decode, waiting or running.
-	s.reg.Gauge("queue_depth").Set(s.queued.Add(1))
-	defer func() { s.reg.Gauge("queue_depth").Set(s.queued.Add(-1)) }()
-	if err := s.lim.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.reg.Counter("queue_rejections_total").Inc()
-			_, inUse, waiting := s.lim.snapshot()
-			s.writeShed(w, http.StatusTooManyRequests, "queue_full", shedQueueFull,
-				fmt.Sprintf("admission queue full (%d running + %d waiting)", inUse, waiting), time.Second)
-		case errors.Is(err, errShedExpired):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.reg.Counter("deadline_timeouts_total").Inc()
-			s.writeShed(w, http.StatusGatewayTimeout, "deadline_exceeded", shedDeadlineExpired,
-				fmt.Sprintf("deadline expired in the waiting room after %s; no solve slot was occupied",
-					time.Since(start).Round(time.Millisecond)), 0)
-		default:
-			s.finishTimeout(w, r, ctx, start, "while queued for a solve slot")
-		}
-		return
-	}
-	slotStart := time.Now()
-	defer func() {
-		held := time.Since(slotStart)
-		s.lim.release()
-		s.lim.observe(held, timeout, ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded))
-		ceiling, _, _ := s.lim.snapshot()
-		s.reg.Gauge("limiter_ceiling").Set(int64(ceiling))
-	}()
+	defer s.release(a)
+	ctx, pfm := withPeerFetchMark(a.ctx)
 
 	if err := faultinject.Fire(ctx, faultinject.ServerSolve); err != nil {
 		s.reg.Counter("partition_errors_total").Inc()
@@ -334,10 +227,9 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	noDegrade := req.NoDegrade || s.cfg.DisableDegradation
 	runSolve := func() (*solveOutcome, error) {
 		oc := &solveOutcome{}
-		if noDegrade {
+		if req.NoDegrade {
 			res, hit, dd, sd, serr := s.solve(ctx, gSolve, H, sv, cn)
 			if serr != nil {
 				return nil, serr
@@ -345,7 +237,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 			oc.res, oc.cacheHit, oc.decompDur, oc.solveDur = res, hit, dd, sd
 		} else {
 			ladderOpts := anytime.Options{Solver: sv}
-			if mode == modeFloor {
+			if a.mode == modeFloor {
 				// Breaker open: run only the ladder's floor rung. The baseline
 				// tier allocates no DP tables, so serving it degrades quality
 				// instead of deepening the memory pressure that tripped us.
@@ -411,13 +303,14 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var oc *solveOutcome
-	if s.results != nil && mode != modeFloor {
+	var err error
+	if s.results != nil && a.mode != modeFloor {
 		// Coalesce identical concurrent misses, keyed per degradation
 		// mode (a no-degrade caller must never be handed a ladder
 		// outcome, and vice versa). Every waiter holds its own admission
 		// slot; only the DP work is shared.
 		sfKey := rkey + "|ladder"
-		if noDegrade {
+		if req.NoDegrade {
 			sfKey = rkey + "|nd"
 		}
 		var v any
@@ -432,33 +325,11 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	} else {
 		oc, err = runSolve()
 	}
-	if mode == modeProbe {
-		// Half-open probe: a successful full-service request (with the
-		// heap back under the ceiling) closes the breaker; anything else
-		// re-opens it and restarts the cooldown.
-		settleProbe(err == nil)
-	}
+	s.settle(a, err == nil)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			s.finishTimeout(w, r, ctx, start, "during the solve")
-		case strings.Contains(err.Error(), "state budget exceeded"):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusUnprocessableEntity, "state_budget_exceeded", err.Error())
-		case strings.Contains(err.Error(), "panic"):
-			// The solver pools contain panics into errors (one bad tree
-			// degrades, all trees failing surfaces here); count them so
-			// an injected or real mid-DP panic is observable.
-			s.reg.Counter("panics_total").Inc()
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusInternalServerError, "solver_panic", err.Error())
-		default:
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusInternalServerError, "solve_failed", err.Error())
-		}
+		s.writeSolveError(w, ctx, start, err)
 		return
 	}
-
 	s.writePartitionOK(w, start, oc.res, oc.cacheHit, false, pfm.hit.Load(), oc.decompDur, oc.solveDur, oc.degResp, cn)
 }
 
@@ -532,23 +403,6 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *h
 	})
 }
 
-// finishTimeout classifies a context failure: a tripped per-request
-// deadline is 504 (the daemon gave up inside its budget), a client that
-// went away gets a best-effort 499-style close (the response will not
-// be read anyway).
-func (s *Server) finishTimeout(w http.ResponseWriter, r *http.Request, ctx context.Context, start time.Time, where string) {
-	s.reg.Counter("partition_errors_total").Inc()
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.reg.Counter("deadline_timeouts_total").Inc()
-		s.writeError(w, http.StatusGatewayTimeout, "deadline_exceeded",
-			fmt.Sprintf("deadline expired %s after %s", where, time.Since(start).Round(time.Millisecond)))
-		return
-	}
-	// Client cancelled: nothing useful to send; record and close.
-	s.reg.Counter("client_cancelled_total").Inc()
-	s.writeError(w, 499, "client_closed_request", "client went away "+where)
-}
-
 // healthzResponse is the GET /v1/healthz body.
 type healthzResponse struct {
 	Status        string  `json:"status"` // "ok" or "draining"
@@ -581,10 +435,10 @@ type StatsResponse struct {
 	} `json:"queue"`
 	Breaker   *breakerStats  `json:"breaker,omitempty"`   // omitted when the breaker is disabled
 	Snapshots *snapshotStats `json:"snapshots,omitempty"` // omitted when the cache is memory-only
-	Cache     *cacheStats    `json:"cache,omitempty"`     // omitted when caching is disabled
+	Cache     *cache.Stats   `json:"cache,omitempty"`     // omitted when caching is disabled
 	// ResultCache is the full-result cache's accounting; omitted when
 	// disabled. Hits here are whole solves never run.
-	ResultCache *cacheStats `json:"result_cache,omitempty"`
+	ResultCache *cache.Stats `json:"result_cache,omitempty"`
 	// Portfolio is the tree-portfolio accounting: incumbent pruning and
 	// tree-level concurrency across all solves. Always present.
 	Portfolio portfolioBlock `json:"portfolio"`
@@ -655,15 +509,6 @@ func breakerStateName(state int) string {
 	}
 }
 
-type cacheStats struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	Len       int     `json:"len"`
-	Capacity  int     `json:"capacity"`
-	HitRatio  float64 `json:"hit_ratio"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET required")
@@ -710,17 +555,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.dec != nil {
 		cs := s.dec.Stats()
-		resp.Cache = &cacheStats{
-			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-			Len: cs.Len, Capacity: cs.Capacity, HitRatio: cs.HitRatio,
-		}
+		resp.Cache = &cs
 	}
 	if s.results != nil {
 		rs := s.results.Stats()
-		resp.ResultCache = &cacheStats{
-			Hits: rs.Hits, Misses: rs.Misses, Evictions: rs.Evictions,
-			Len: rs.Len, Capacity: rs.Capacity, HitRatio: rs.HitRatio,
-		}
+		resp.ResultCache = &rs
 	}
 	resp.Portfolio = portfolioBlock{
 		TreesPrunedTotal:      s.reg.Counter("trees_pruned_total").Value(),

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"time"
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
@@ -66,6 +65,8 @@ func validPeerKey(key string) bool {
 	return true
 }
 
+const peerDrainingMsg = "daemon is draining; peer traffic re-routes via health gossip"
+
 // admitPeer runs the shared preamble of every peer data endpoint:
 // authentication, drain bookkeeping, key validation — in that order.
 // It returns the validated key and whether the request may proceed
@@ -74,9 +75,7 @@ func (s *Server) admitPeer(w http.ResponseWriter, r *http.Request) (string, bool
 	if !s.authorizePeer(w, r) {
 		return "", false
 	}
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; peer traffic re-routes via health gossip", time.Second)
+	if !s.enter(w, peerDrainingMsg) {
 		return "", false
 	}
 	key := r.PathValue("key")
@@ -226,9 +225,7 @@ func (s *Server) handlePeerKeys(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizePeer(w, r) {
 		return
 	}
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; peer traffic re-routes via health gossip", time.Second)
+	if !s.enter(w, peerDrainingMsg) {
 		return
 	}
 	defer s.inflight.Done()

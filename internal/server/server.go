@@ -78,12 +78,6 @@ type Config struct {
 	MaxEdges int
 	// MaxBodyBytes bounds the request body. Zero means 64 MiB.
 	MaxBodyBytes int64
-	// DisableDegradation turns the anytime ladder off daemon-wide:
-	// every request runs only the full pipeline and a missed deadline
-	// is a 504 instead of a degraded 200. Individual requests opt out
-	// with the no_degrade field; this flag is for fleets that prefer
-	// fail-fast semantics everywhere.
-	DisableDegradation bool
 	// StateDir, when non-empty, makes the decomposition cache durable:
 	// entries are snapshotted to this directory by a background flusher
 	// and loaded back on startup, so a killed-and-restarted daemon
@@ -101,9 +95,9 @@ type Config struct {
 	Adaptive bool
 	// MaxHeapBytes arms the memory-pressure circuit breaker: when the
 	// live heap exceeds it the daemon serves only the degradation
-	// ladder's floor tier (sheding no-degrade requests with 503) until
-	// pressure subsides, probing half-open after BreakerCooldown. Zero
-	// disables the breaker.
+	// ladder's floor tier (shedding no-degrade requests and session
+	// solves with 503) until pressure subsides, probing half-open after
+	// BreakerCooldown. Zero disables the breaker.
 	MaxHeapBytes int64
 	// BreakerCooldown is how long the breaker stays open before a
 	// half-open probe. Zero means 2s.
@@ -289,10 +283,10 @@ type Server struct {
 	// store snapshots cache entries to cfg.StateDir; nil when the cache
 	// is memory-only.
 	store *diskstore.Store
-	// sessions is the graph-session LRU (/v1/graphs); nil when sessions
-	// are disabled. sessStore persists session snapshots under
-	// StateDir/sessions; nil when memory-only.
-	sessions  *sessionStore
+	// sessions is the graph-session LRU (/v1/graphs) of *session
+	// values; nil when sessions are disabled. sessStore persists session
+	// snapshots under StateDir/sessions; nil when memory-only.
+	sessions  *cache.LRU
 	sessStore *diskstore.SessionStore
 	// cluster is the shard-group state (ring, peer clients, health
 	// poller); nil outside cluster mode.
@@ -391,7 +385,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.registerSessionMetrics()
 	if cfg.MaxSessions > 0 {
-		s.sessions = newSessionStore(cfg.MaxSessions)
+		s.sessions = cache.New(cfg.MaxSessions)
 		if cfg.StateDir != "" {
 			ss, err := diskstore.OpenSessions(filepath.Join(cfg.StateDir, "sessions"))
 			if err != nil {
@@ -409,7 +403,6 @@ func New(cfg Config) (*Server, error) {
 				}
 			})
 			s.reg.Gauge("session_snapshots_skipped").Set(int64(skipped))
-			s.reg.Gauge("sessions_active").Set(int64(s.sessions.len()))
 		}
 		s.mux.HandleFunc("POST /v1/graphs", s.handleGraphCreate)
 		s.mux.HandleFunc("GET /v1/graphs/{id}", s.handleGraphGet)
@@ -510,18 +503,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return drainErr
-}
-
-// admitInflight registers the request with the drain bookkeeping,
-// returning false when the daemon is draining.
-func (s *Server) admitInflight() bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
-		return false
-	}
-	s.inflight.Add(1)
-	return true
 }
 
 func (s *Server) isDraining() bool {

@@ -166,30 +166,48 @@ func TestPartitionCacheSharedAcrossEps(t *testing.T) {
 	}
 }
 
+// TestPartitionMalformed pins the rejections of malformed requests, and
+// that POST /v1/graphs, which shares the decode and validation pipeline,
+// rejects every applicable case with the same status and code.
 func TestPartitionMalformed(t *testing.T) {
 	s := newTestServer(t, Config{MaxVertices: 100, MaxEdges: 2})
 	cases := []struct {
-		name string
-		body any
-		code int
+		name     string
+		body     any
+		code     int
+		sessions bool // the case applies to POST /v1/graphs too
 	}{
-		{"invalid json", `{"n": `, http.StatusBadRequest},
-		{"unknown field", `{"n": 1, "bogus": true}`, http.StatusBadRequest},
-		{"empty graph", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 0}`, http.StatusBadRequest},
-		{"bad hierarchy (increasing cm)", `{"hierarchy": {"deg": [2], "cm": [0, 1]}, "n": 2}`, http.StatusBadRequest},
-		{"edge out of range", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 2, "edges": [[0, 5, 1]]}`, http.StatusBadRequest},
-		{"negative timeout", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 2, "timeout_ms": -1}`, http.StatusBadRequest},
-		{"too many vertices", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 500}`, http.StatusRequestEntityTooLarge},
-		{"too many edges", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 3, "edges": [[0,1,1],[1,2,1],[0,2,1]]}`, http.StatusRequestEntityTooLarge},
+		{"invalid json", `{"n": `, http.StatusBadRequest, true},
+		{"unknown field", `{"n": 1, "bogus": true}`, http.StatusBadRequest, true},
+		{"empty graph", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 0}`, http.StatusBadRequest, true},
+		{"bad hierarchy (increasing cm)", `{"hierarchy": {"deg": [2], "cm": [0, 1]}, "n": 2}`, http.StatusBadRequest, true},
+		{"edge out of range", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 2, "edges": [[0, 5, 1]]}`, http.StatusBadRequest, true},
+		{"negative eps", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 2, "eps": -1}`, http.StatusBadRequest, true},
+		{"negative timeout", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 2, "timeout_ms": -1}`, http.StatusBadRequest, false},
+		{"too many vertices", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 500}`, http.StatusRequestEntityTooLarge, true},
+		{"too many edges", `{"hierarchy": {"deg": [2], "cm": [1, 0]}, "n": 3, "edges": [[0,1,1],[1,2,1],[0,2,1]]}`, http.StatusRequestEntityTooLarge, true},
+	}
+	envelope := func(name string, rec *httptest.ResponseRecorder) apiError {
+		t.Helper()
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" || e.Code == "" {
+			t.Fatalf("%s: error envelope missing: %s", name, rec.Body.String())
+		}
+		return e
 	}
 	for _, tc := range cases {
 		rec := postPartition(t, s.Handler(), tc.body)
 		if rec.Code != tc.code {
 			t.Fatalf("%s: status = %d, want %d (body %s)", tc.name, rec.Code, tc.code, rec.Body.String())
 		}
-		var e apiError
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" || e.Code == "" {
-			t.Fatalf("%s: error envelope missing: %s", tc.name, rec.Body.String())
+		want := envelope(tc.name, rec).Code
+		if !tc.sessions {
+			continue
+		}
+		srec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(srec, httptest.NewRequest(http.MethodPost, "/v1/graphs", strings.NewReader(tc.body.(string))))
+		if got := envelope(tc.name+" (POST /v1/graphs)", srec).Code; srec.Code != tc.code || got != want {
+			t.Fatalf("%s: POST /v1/graphs = %d %s, POST /v1/partition = %d %s", tc.name, srec.Code, got, tc.code, want)
 		}
 	}
 	rec := httptest.NewRecorder()

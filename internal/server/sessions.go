@@ -1,17 +1,13 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,8 +69,8 @@ var coldReasons = []string{coldFirstSolve, coldRestart, coldVertexChange, coldRe
 //
 // session.mu serializes patches and solves on one session — a
 // hgpt.TableCache is owned by one solve at a time, and a solve must see
-// a consistent (graph, version, pending) triple. The store's own mutex
-// covers only the ID map and LRU order; it is never held across a solve.
+// a consistent (graph, version, pending) triple. The session LRU's own
+// mutex is never held across a solve.
 type session struct {
 	mu sync.Mutex
 
@@ -127,68 +123,24 @@ func (sess *session) maxLoad() float64 {
 	return 1 + eps
 }
 
-// sessionStore is the bounded LRU of live sessions. cache.LRU is not
-// reused here because eviction must have a side effect (dropping the
-// session's snapshot file) and its values would need per-entry locks
-// anyway.
-type sessionStore struct {
-	mu    sync.Mutex
-	cap   int
-	byID  map[string]*list.Element
-	order *list.List // front = most recently used
-}
-
-func newSessionStore(capacity int) *sessionStore {
-	return &sessionStore{cap: capacity, byID: make(map[string]*list.Element), order: list.New()}
-}
-
-// get returns the session and marks it most recently used.
-func (st *sessionStore) get(id string) (*session, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	el, ok := st.byID[id]
+// lookupSession returns the session named by the request path, marking
+// it most recently used, or answers 404 and returns nil.
+func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session {
+	v, _ := s.sessions.Get(r.PathValue("id"))
+	sess, ok := v.(*session)
 	if !ok {
-		return nil, false
+		s.writeError(w, http.StatusNotFound, "not_found", "no such graph session")
 	}
-	st.order.MoveToFront(el)
-	return el.Value.(*session), true
+	return sess
 }
 
-// put inserts a new session and returns any sessions evicted to make
-// room (oldest first). The caller drops their snapshot files outside
-// the store lock.
-func (st *sessionStore) put(sess *session) []*session {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.byID[sess.id] = st.order.PushFront(sess)
-	var evicted []*session
-	for st.order.Len() > st.cap {
-		back := st.order.Back()
-		old := back.Value.(*session)
-		st.order.Remove(back)
-		delete(st.byID, old.id)
-		evicted = append(evicted, old)
+// addSession stores a new session in the LRU and drops the session it
+// evicts, snapshot included.
+func (s *Server) addSession(sess *session) {
+	if old := s.sessions.Add(sess.id, sess); old != nil {
+		s.dropSession(old.(*session), true)
 	}
-	return evicted
-}
-
-// remove deletes a session by ID.
-func (st *sessionStore) remove(id string) (*session, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	el, ok := st.byID[id]
-	if !ok {
-		return nil, false
-	}
-	st.order.Remove(el)
-	delete(st.byID, id)
-	return el.Value.(*session), true
-}
-
-func (st *sessionStore) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.order.Len()
+	s.reg.Gauge("sessions_active").Set(int64(s.sessions.Len()))
 }
 
 // newSessionID draws 8 random bytes as hex — the session namespace is
@@ -272,23 +224,23 @@ func (s *Server) dropSession(sess *session, evicted bool) {
 // restored sessions are cold (needCold, reason "restart") but keep
 // their version and last placement, so the first post-restart solve
 // still reports migration churn against the pre-restart placement.
+// Their max_states is clamped to the current ceiling, as at
+// registration.
 func (s *Server) restoreSession(id string, payload []byte) bool {
 	var snap sessionSnap
 	if err := json.Unmarshal(payload, &snap); err != nil || snap.ID != id || snap.Version < 1 {
 		return false
 	}
-	inst := instio.Instance{Hierarchy: snap.Hierarchy, N: snap.N, Demands: snap.Demands, Edges: snap.Edges}
-	g, H, err := inst.Materialize()
-	if err != nil || g.N() == 0 {
+	g, H, err := materialize(&instio.Instance{Hierarchy: snap.Hierarchy, N: snap.N, Demands: snap.Demands, Edges: snap.Edges})
+	if err != nil {
 		return false
 	}
 	sess := &session{
 		id: id, spec: snap.Hierarchy,
-		sv: hgp.Solver{
+		sv: s.solver(hgp.Solver{
 			Eps: snap.Eps, Trees: snap.Trees, Seed: snap.Seed,
-			FMPasses: snap.FMPasses, FlowRefine: snap.FlowRefine,
-			Workers: s.cfg.SolverWorkers, MaxStates: snap.MaxStates,
-		},
+			FMPasses: snap.FMPasses, FlowRefine: snap.FlowRefine, MaxStates: snap.MaxStates,
+		}),
 		version: snap.Version, g: g, H: H,
 		needCold: true, coldReason: coldRestart,
 		lastSolveVersion: snap.LastSolveVersion,
@@ -298,9 +250,7 @@ func (s *Server) restoreSession(id string, payload []byte) bool {
 	} else {
 		sess.lastSolveVersion = 0
 	}
-	for _, old := range s.sessions.put(sess) {
-		s.dropSession(old, true)
-	}
+	s.addSession(sess)
 	return true
 }
 
@@ -347,61 +297,24 @@ func sessionView(sess *session) GraphSessionResponse {
 }
 
 func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req GraphCreateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decode(w, r, &req, false) {
 		return
 	}
-	if req.N > s.cfg.MaxVertices {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d vertices, server limit is %d", req.N, s.cfg.MaxVertices))
+	g, H, sv, ok := s.prepare(w, &req.Instance, hgp.Solver{
+		Eps: req.Eps, Trees: req.Trees, Seed: req.Seed,
+		FMPasses: req.FMPasses, FlowRefine: req.FlowRefine, MaxStates: req.MaxStates,
+	}, 0)
+	if !ok {
 		return
 	}
-	if len(req.Edges) > s.cfg.MaxEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d edges, server limit is %d", len(req.Edges), s.cfg.MaxEdges))
-		return
-	}
-	g, H, err := req.Instance.Materialize()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", err.Error())
-		return
-	}
-	if g.N() == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", "graph has no vertices")
-		return
-	}
-	if req.Eps < 0 || req.Trees < 0 || req.FMPasses < 0 || req.MaxStates < 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "negative solver parameter")
-		return
-	}
-	maxStates := req.MaxStates
-	if maxStates == 0 || maxStates > s.cfg.MaxStates {
-		maxStates = s.cfg.MaxStates
-	}
-	sess := &session{
-		id: newSessionID(), spec: req.Hierarchy,
-		sv: hgp.Solver{
-			Eps: req.Eps, Trees: req.Trees, Seed: req.Seed,
-			FMPasses: req.FMPasses, FlowRefine: req.FlowRefine,
-			Workers: s.cfg.SolverWorkers, MaxStates: maxStates,
-		},
-		version: 1, g: g, H: H,
-	}
-	for _, old := range s.sessions.put(sess) {
-		s.dropSession(old, true)
-	}
+	sess := &session{id: newSessionID(), spec: req.Hierarchy, sv: sv, version: 1, g: g, H: H}
+	s.addSession(sess)
 	s.reg.Counter("session_registers_total").Inc()
-	s.reg.Gauge("sessions_active").Set(int64(s.sessions.len()))
 	sess.mu.Lock()
 	s.saveSession(sess)
 	view := sessionView(sess)
@@ -410,9 +323,8 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "not_found", "no such graph session")
+	sess := s.lookupSession(w, r)
+	if sess == nil {
 		return
 	}
 	sess.mu.Lock()
@@ -422,13 +334,14 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.remove(r.PathValue("id"))
+	v, ok := s.sessions.Remove(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "not_found", "no such graph session")
 		return
 	}
+	sess := v.(*session)
 	s.dropSession(sess, false)
-	s.reg.Gauge("sessions_active").Set(int64(s.sessions.len()))
+	s.reg.Gauge("sessions_active").Set(int64(s.sessions.Len()))
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": true, "id": sess.id})
 }
 
@@ -491,27 +404,20 @@ func expandDelta(g *graph.Graph, d GraphDelta) ([]treedecomp.Delta, bool, error)
 }
 
 func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req GraphPatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decode(w, r, &req, false) {
 		return
 	}
 	if len(req.Deltas) == 0 {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "no deltas")
 		return
 	}
-	sess, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "not_found", "no such graph session")
+	sess := s.lookupSession(w, r)
+	if sess == nil {
 		return
 	}
 	sess.mu.Lock()
@@ -626,70 +532,34 @@ type GraphPartitionResponse struct {
 	SolveMS   float64 `json:"solve_ms"`
 }
 
+// handleGraphPartition solves a session's current version. It runs
+// through the same admission as /v1/partition and is gated by the memory
+// breaker like a no_degrade request (a session solve has no floor tier):
+// 503 breaker_open while the breaker is open, and a half-open session
+// solve is the probe.
 func (s *Server) handleGraphPartition(w http.ResponseWriter, r *http.Request) {
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
 	start := time.Now()
-	sess, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "not_found", "no such graph session")
+	sess := s.lookupSession(w, r)
+	if sess == nil {
 		return
 	}
 	var req GraphPartitionRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decode(w, r, &req, true) {
 		return
 	}
 	if req.TimeoutMS < 0 || req.MaxMigration < 0 || req.MigrationWeight < 0 {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "negative parameter")
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Same admission as /v1/partition: the deadline-ordered waiting
-	// room, then a solve slot. Session solves share the daemon's solve
-	// capacity with one-shot solves.
-	s.reg.Gauge("queue_depth").Set(s.queued.Add(1))
-	defer func() { s.reg.Gauge("queue_depth").Set(s.queued.Add(-1)) }()
-	if err := s.lim.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.reg.Counter("queue_rejections_total").Inc()
-			_, inUse, waiting := s.lim.snapshot()
-			s.writeShed(w, http.StatusTooManyRequests, "queue_full", shedQueueFull,
-				fmt.Sprintf("admission queue full (%d running + %d waiting)", inUse, waiting), time.Second)
-		case errors.Is(err, errShedExpired):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.reg.Counter("deadline_timeouts_total").Inc()
-			s.writeShed(w, http.StatusGatewayTimeout, "deadline_exceeded", shedDeadlineExpired,
-				fmt.Sprintf("deadline expired in the waiting room after %s; no solve slot was occupied",
-					time.Since(start).Round(time.Millisecond)), 0)
-		default:
-			s.finishTimeout(w, r, ctx, start, "while queued for a solve slot")
-		}
+	a := s.admit(w, r, start, req.TimeoutMS, true)
+	if a == nil {
 		return
 	}
-	slotStart := time.Now()
-	defer func() {
-		held := time.Since(slotStart)
-		s.lim.release()
-		s.lim.observe(held, timeout, ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded))
-	}()
+	defer s.release(a)
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -699,9 +569,11 @@ func (s *Server) handleGraphPartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Stored replay: nothing changed since the last solve and the
-	// migration knobs match — return the stored placement verbatim.
+	// migration knobs match — return the stored placement verbatim. As
+	// a breaker probe it counts as a success.
 	if sess.lastResp != nil && sess.lastSolveVersion == sess.version &&
 		sess.lastMaxMig == req.MaxMigration && sess.lastMigWeight == req.MigrationWeight {
+		s.settle(a, true)
 		s.reg.Counter("session_stored_hits_total").Inc()
 		resp := *sess.lastResp
 		resp.Stored = true
@@ -712,18 +584,10 @@ func (s *Server) handleGraphPartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, err := s.sessionSolve(ctx, sess, req)
+	resp, err := s.sessionSolve(a.ctx, sess, req)
+	s.settle(a, err == nil)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			s.finishTimeout(w, r, ctx, start, "during the session solve")
-		case strings.Contains(err.Error(), "state budget exceeded"):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusUnprocessableEntity, "state_budget_exceeded", err.Error())
-		default:
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusInternalServerError, "solve_failed", err.Error())
-		}
+		s.writeSolveError(w, a.ctx, start, err)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -753,7 +617,7 @@ func (s *Server) sessionSolve(ctx context.Context, sess *session, req GraphParti
 	}
 	var dec *treedecomp.Decomposition
 	var rstats *treedecomp.RepairStats
-	repairStart := time.Now()
+	t0 := time.Now()
 	if incremental {
 		rep, st, err := treedecomp.Repair(ctx, sess.g, sess.dec, sess.pending, sv.DecompOptions(), sess.version)
 		if err != nil {
@@ -775,53 +639,43 @@ func (s *Server) sessionSolve(ctx context.Context, sess *session, req GraphParti
 			sv.WarmBounds = hgp.WarmBoundsAfterRepair(sess.lastDPCosts, sess.H, st)
 		}
 	}
-	if !incremental {
-		built, err := treedecomp.BuildContext(ctx, sess.g, sv.DecompOptions())
-		if err != nil {
-			return nil, err
-		}
-		dec = built
-	}
-	repairDur := time.Since(repairStart)
 
-	// The warm table caches live as long as the session; a cold rebuild
-	// keeps them — table lookups are content-hashed, so any subtree the
-	// rebuild happens to reproduce still hits.
-	if len(sess.caches) != len(dec.Trees) {
-		sess.caches = make([]*hgpt.TableCache, len(dec.Trees))
-		for i := range sess.caches {
-			sess.caches[i] = hgpt.NewTableCache()
+	// repairDur covers the repair or cold rebuild, solveDur the DP; a
+	// cold retry adds its rebuild and DP to each.
+	var res *hgp.Result
+	var err error
+	var repairDur, solveDur time.Duration
+	for {
+		if !incremental {
+			if dec, err = treedecomp.BuildContext(ctx, sess.g, sv.DecompOptions()); err != nil {
+				return nil, err
+			}
 		}
-	}
-	sv.TreeCaches = sess.caches
-
-	solveStart := time.Now()
-	res, err := sv.SolveDecomposition(ctx, sess.g, sess.H, dec)
-	if err != nil && ctx.Err() == nil && incremental {
-		// The DP over the repaired decomposition failed: retry cold once.
-		incremental = false
-		coldReason = coldSolveFailed
-		rstats = nil
-		sv.WarmBounds = nil // bounds certify the repaired trees, not a rebuild
-		built, berr := treedecomp.BuildContext(ctx, sess.g, sv.DecompOptions())
-		if berr != nil {
-			return nil, berr
-		}
-		dec = built
+		// The warm table caches live as long as the session; a cold
+		// rebuild keeps them — table lookups are content-hashed, so any
+		// subtree the rebuild happens to reproduce still hits.
 		if len(sess.caches) != len(dec.Trees) {
 			sess.caches = make([]*hgpt.TableCache, len(dec.Trees))
 			for i := range sess.caches {
 				sess.caches[i] = hgpt.NewTableCache()
 			}
-			sv.TreeCaches = sess.caches
 		}
+		sv.TreeCaches = sess.caches
+		t1 := time.Now()
+		repairDur += t1.Sub(t0)
 		res, err = sv.SolveDecomposition(ctx, sess.g, sess.H, dec)
+		t0 = time.Now()
+		solveDur += t0.Sub(t1)
+		if err == nil || ctx.Err() != nil || !incremental {
+			break
+		}
+		// The DP over the repaired decomposition failed: retry cold once.
+		// The warm bounds certify the repaired trees, not a rebuild.
+		incremental, coldReason, rstats, sv.WarmBounds = false, coldSolveFailed, nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	solveDur := time.Since(solveStart)
-
 	// Reconcile against the previous placement: relabel subtrees to
 	// maximize stay-put demand (cost-preserving), optionally refine
 	// under the migration exchange rate, then cap churn at MaxMigration.
@@ -927,9 +781,7 @@ func (s *Server) sessionsStats() sessionsBlock {
 		DirtyTablesTotal:       s.reg.Counter("dirty_tables_total").Value(),
 		ReusedTablesTotal:      s.reg.Counter("reused_tables_total").Value(),
 	}
-	if s.sessions != nil {
-		b.Capacity = s.sessions.cap
-	}
+	b.Capacity = s.cfg.MaxSessions
 	for _, reason := range coldReasons {
 		b.ColdFallbacks[reason] = s.reg.Counter(fmt.Sprintf("cold_fallbacks_total{reason=%q}", reason)).Value()
 	}

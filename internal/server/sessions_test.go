@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -656,5 +657,73 @@ func TestSessionWarmBoundedSolve(t *testing.T) {
 	}
 	if stats.BoundFallbacksTotal != 0 {
 		t.Fatalf("bound_fallbacks_total = %d, want 0", stats.BoundFallbacksTotal)
+	}
+}
+
+// TestSessionSolverPanicMapsLikeOneShot: a contained solver panic in a
+// session solve answers exactly as on POST /v1/partition — 500
+// solver_panic with panics_total ticked — and the session then solves.
+func TestSessionSolverPanicMapsLikeOneShot(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{Registry: reg})
+	h := s.Handler()
+	view := createSession(t, h, sessionCreateRequest())
+
+	restore := faultinject.Activate(
+		faultinject.New(7).On(faultinject.HgptTable, faultinject.Fault{Prob: 1, PanicMsg: "mid-DP"}))
+	rec := doJSON(t, h, http.MethodPost, "/v1/graphs/"+view.ID+"/partition", nil)
+	restore()
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %s)", rec.Code, rec.Body.String())
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "solver_panic" {
+		t.Fatalf("error envelope = %s, want solver_panic", rec.Body.String())
+	}
+	if got := reg.Counter("panics_total").Value(); got != 1 {
+		t.Fatalf("panics_total = %d, want 1", got)
+	}
+	if resp := solveSession(t, h, view.ID, nil); resp.Incremental || resp.ColdReason != coldFirstSolve {
+		t.Fatalf("post-panic solve: incremental=%v cold_reason=%q, want cold first_solve", resp.Incremental, resp.ColdReason)
+	}
+}
+
+// TestSessionSolveSheds: the session solve route sheds through the same
+// admission as /v1/partition — 429 queue_full when every solve slot and
+// the waiting room are taken (here by a one-shot solve), 503 draining
+// once the daemon drains — each with its shed_reason.
+func TestSessionSolveSheds(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1, Registry: reg})
+	h := s.Handler()
+	view := createSession(t, h, sessionCreateRequest())
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.solve = blockingSolve(started, release)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postPartition(t, h, testRequest())
+	}()
+	<-started
+
+	path := "/v1/graphs/" + view.ID + "/partition"
+	rec := doJSON(t, h, http.MethodPost, path, nil)
+	if rec.Code != http.StatusTooManyRequests || !strings.Contains(rec.Body.String(), `"shed_reason": "queue_full"`) {
+		t.Fatalf("session solve with no free slot = %d %s, want 429 queue_full", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("429 must carry a Retry-After header")
+	}
+	close(release)
+	<-done
+
+	s.Drain()
+	rec = doJSON(t, h, http.MethodPost, path, nil)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"shed_reason": "draining"`) {
+		t.Fatalf("session solve while draining = %d %s, want 503 draining", rec.Code, rec.Body.String())
+	}
+	if got := reg.Counter(`shed_total{reason="draining"}`).Value(); got != 1 {
+		t.Fatalf("shed_total{reason=draining} = %d, want 1", got)
 	}
 }
