@@ -345,18 +345,22 @@ func saveArtifact(t *testing.T, name string, raw []byte) {
 }
 
 // The replication soak: three real hgpd processes at -replication 2,
-// membership sourced from a shared -peers-file, exercising all four
-// healing layers end to end through real binaries:
+// membership sourced from a shared -peers-file, exercising four phases
+// end to end through real binaries:
 //
 //  1. node loss with zero cold rebuilds — every key has a second
 //     replica, so killing the cluster's builder mid-load leaves the
 //     survivors serving entirely from caches and replica fetches;
-//  2. hinted handoff — builds pushed while a replica is dead are
-//     staged and replayed to it after rejoin;
+//  2. rejoin — builds made while a replica is dead never reach it, and
+//     after it restarts, repair pulls them and it serves them without
+//     rebuilding;
 //  3. anti-entropy — a replica restarted with a blanked state dir
 //     repairs itself from its peers without rebuilding;
 //  4. dynamic membership — a fourth node joins via peers-file rewrite
 //     plus SIGHUP under strict-SLO load.
+//
+// Both rejoins converge through the startup sweep and the recovery
+// kicks at the default -repair-interval, not through a short timer.
 //
 // Same knobs as TestClusterFailoverSoak: HGP_SOAK_SECONDS scales the
 // load phases, HGP_SOAK_RACE=1 races the binaries, HGP_SOAK_ARTIFACTS
@@ -410,10 +414,6 @@ func TestClusterReplicationSoak(t *testing.T) {
 			"-peers-file", peersFile,
 			"-self", peers[i],
 			"-replication", "2",
-			// Tight healing intervals so handoff and repair converge
-			// within the soak instead of on production timescales.
-			"-hint-replay-interval", "500ms",
-			"-repair-interval", "2s",
 			"-peer-timeout", "250ms",
 			"-peer-retries", "1",
 			"-peer-breaker-cooldown", "1s",
@@ -486,43 +486,45 @@ func TestClusterReplicationSoak(t *testing.T) {
 		})
 	}
 
-	// Phase 2: hinted handoff. With node 0 still dead, fresh builds on
-	// node 1 whose replica sets include node 0 cannot push — the pushes
-	// must stage as hints instead of being dropped.
+	// Phase 2: rejoin. With node 0 still dead, node 1 builds the outage
+	// seeds; the survivors have shed node 0, so no push reaches it.
 	for seed := int64(101); seed <= 100+seeds; seed++ {
 		rec := postJSON(t, nodes[1].base+"/v1/partition", loadBody(seed))
 		if rec.status != http.StatusOK {
-			t.Fatalf("hint seed %d: %d (%s)", seed, rec.status, rec.body)
+			t.Fatalf("outage seed %d: %d (%s)", seed, rec.status, rec.body)
 		}
 		waitPushesSettled(t, nodes[1].base)
 	}
-	waitStat(t, nodes[1].base, 10*time.Second, func(st soakStats) bool {
-		return st.counter("hints_staged_total") >= 1
-	})
 
-	// Rejoin node 0: gossip restores it, the drainer replays the staged
-	// hints, and the queue empties.
+	// Restart node 0 on its state dir: its startup sweep pulls the
+	// outage entries it replicates. The 40s wait covers one periodic
+	// sweep (default 30s) should the startup sweep miss.
 	nodes[0] = startNode(0)
 	waitClusterHealthy(t, bases)
-	waitStat(t, nodes[1].base, 20*time.Second, func(st soakStats) bool {
-		return st.counter("hints_replayed_total") >= 1 && st.gauge("hints_queued") == 0
+	waitStat(t, nodes[0].base, 40*time.Second, func(st soakStats) bool {
+		return st.counter("repair_pulled_total") >= 1
 	})
-	// The handed-off entries (plus the replicas it already held via its
-	// snapshots) mean node 0 serves the hint-phase seeds without a
-	// single build.
+	// The pulled entries, the snapshots it kept, and replica fetches for
+	// the keys it does not replicate mean node 0 serves the outage
+	// seeds without a single build.
 	for seed := int64(101); seed <= 100+seeds; seed++ {
 		rec := postJSON(t, nodes[0].base+"/v1/partition", loadBody(seed))
 		if rec.status != http.StatusOK {
-			t.Fatalf("post-replay seed %d on node 0: %d (%s)", seed, rec.status, rec.body)
+			t.Fatalf("outage seed %d on rejoined node 0: %d (%s)", seed, rec.status, rec.body)
 		}
 	}
 	st := waitStat(t, nodes[0].base, 5*time.Second, func(soakStats) bool { return true })
+	rejoinReport, _ := json.Marshal(map[string]int64{
+		"rejoined_builds": st.counter("decomp_builds_total"),
+		"repair_pulled":   st.counter("repair_pulled_total"),
+	})
+	saveArtifact(t, "replicated-rejoin.json", rejoinReport)
 	if got := st.counter("decomp_builds_total"); got != 0 {
-		t.Fatalf("rejoined node built %d decompositions, want 0 (handoff + replicas must cover it)", got)
+		t.Fatalf("rejoined node built %d decompositions, want 0 (repair + replicas must cover it)", got)
 	}
 
 	// Phase 3: anti-entropy. Node 1 leaves gracefully, loses its entire
-	// state dir, and rejoins blank. The repair sweep must converge it
+	// state dir, and rejoins blank. Its startup sweep must converge it
 	// from its peers — pulled entries, zero rebuilds.
 	if err := nodes[1].cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -538,7 +540,7 @@ func TestClusterReplicationSoak(t *testing.T) {
 	}
 	nodes[1] = startNode(1)
 	waitClusterHealthy(t, bases)
-	st = waitStat(t, nodes[1].base, 30*time.Second, func(st soakStats) bool {
+	st = waitStat(t, nodes[1].base, 40*time.Second, func(st soakStats) bool {
 		return st.counter("repair_pulled_total") >= 1
 	})
 	if got := st.counter("decomp_builds_total"); got != 0 {

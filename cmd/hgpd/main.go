@@ -1,13 +1,17 @@
 // Command hgpd is the long-running hierarchical-graph-partitioning
 // daemon: it serves POST /v1/partition (solve an instance under a
-// deadline), GET /v1/healthz, GET /v1/stats (JSON or Prometheus text),
-// and /debug/pprof/*, amortizing decomposition builds across requests
-// with an LRU cache and shedding load with 429 when the admission queue
-// fills. With -state-dir the cache is durable across restarts; with
-// -adaptive the solve ceiling follows observed latency AIMD-style; with
-// -max-heap-bytes a memory-pressure breaker degrades service before the
-// kernel OOM-kills the process. See API.md for the wire format and
-// DESIGN.md for the serving architecture.
+// deadline), the /v1/graphs session routes (register a graph, PATCH
+// deltas, re-solve incrementally), GET /v1/healthz, GET /v1/stats (JSON
+// or Prometheus text), and /debug/pprof/*, amortizing decomposition
+// builds across requests with an LRU cache and shedding load with 429
+// when the admission queue fills. With -state-dir the cache and the
+// sessions are durable across restarts; with -adaptive the solve
+// ceiling follows observed latency AIMD-style; with -max-heap-bytes a
+// memory-pressure breaker degrades service before the kernel OOM-kills
+// the process. With -peers or -peers-file the daemon joins a shard
+// group: each cache key lives on its top -replication peers, and
+// anti-entropy repair restocks replicas that missed pushes. See API.md
+// for the wire format and DESIGN.md for the serving architecture.
 package main
 
 import (
@@ -57,9 +61,7 @@ func main() {
 		peerRetries  = flag.Int("peer-retries", 2, "retries after a failed peer fetch attempt (attempts = retries+1, jittered exponential backoff between them)")
 		peerCooldown = flag.Duration("peer-breaker-cooldown", 2*time.Second, "how long a peer's fetch breaker fast-fails after opening (3 consecutive failures) before a half-open probe")
 		peerSecret   = flag.String("peer-secret", "", "cluster shared secret: every /v1/peer/* request must carry it (X-Hgpd-Peer-Secret; wrong or missing = 403) and outgoing peer traffic attaches it; all peers must share one value; falls back to the HGPD_PEER_SECRET env var (keeps the secret off the process list); empty = unauthenticated, safe ONLY on a network unreachable by untrusted clients")
-		hintQueue    = flag.Int("hint-queue", 512, "hinted-handoff queue entries: pushes to a dead replica are staged (durably under -state-dir) and replayed when it returns (0 = disable handoff)")
-		hintReplay   = flag.Duration("hint-replay-interval", 2*time.Second, "how often the handoff drainer persists and replays staged hints")
-		repairEvery  = flag.Duration("repair-interval", 30*time.Second, "how often the anti-entropy sweep exchanges key digests with peers and pulls entries this daemon's replicas are missing (0 = disable repair)")
+		repairEvery  = flag.Duration("repair-interval", 30*time.Second, "how often the anti-entropy sweep exchanges key digests with peers and pulls entries this daemon's replicas are missing (the sweep also runs at startup and when a peer recovers; must be > 0)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -91,7 +93,7 @@ func main() {
 		peers = filePeers
 	}
 	if err := validateClusterFlags(peers, *selfFlag, *cacheSize, *peerTimeout, *peerRetries, *peerCooldown,
-		*replication, *hintQueue, *hintReplay, *repairEvery); err != nil {
+		*replication, *repairEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "hgpd: %v\n", err)
 		os.Exit(2)
 	}
@@ -121,9 +123,7 @@ func main() {
 		PeerRetries:         *peerRetries,
 		PeerBreakerCooldown: *peerCooldown,
 		PeerSecret:          secret,
-		HintQueueEntries:    disableOnZero(*hintQueue),
-		HintReplayInterval:  *hintReplay,
-		RepairInterval:      disableOnZeroDur(*repairEvery),
+		RepairInterval:      *repairEvery,
 	})
 	if err != nil {
 		log.Fatalf("hgpd: %v", err)
@@ -306,28 +306,12 @@ func watchPeersFile(path string, hup <-chan os.Signal, reload func([]string) err
 	}
 }
 
-// disableOnZero maps a flag's "0 = off" convention to the Config's
-// "negative = off, zero = default" convention.
-func disableOnZero(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
-func disableOnZeroDur(v time.Duration) time.Duration {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
 // validateClusterFlags checks the cluster flag group's internal
 // consistency. server.New re-validates (tests construct Config
 // directly), but catching operator typos here yields a flag-named
 // message and exit code 2 instead of a runtime error.
 func validateClusterFlags(peers []string, self string, cacheSize int, peerTimeout time.Duration, peerRetries int, peerCooldown time.Duration,
-	replication, hintQueue int, hintReplay, repairEvery time.Duration) error {
+	replication int, repairEvery time.Duration) error {
 	if len(peers) == 0 {
 		if self != "" {
 			return fmt.Errorf("-self %q: requires -peers or -peers-file", self)
@@ -351,12 +335,8 @@ func validateClusterFlags(peers []string, self string, cacheSize int, peerTimeou
 		// R greater than the cluster size is fine (the ring clamps it);
 		// R below 1 cannot mean anything.
 		return fmt.Errorf("-replication %d: must be >= 1 (values above the cluster size are clamped)", replication)
-	case hintQueue < 0:
-		return fmt.Errorf("-hint-queue %d: must be >= 0 (0 = disable handoff)", hintQueue)
-	case hintReplay <= 0:
-		return fmt.Errorf("-hint-replay-interval %v: must be > 0", hintReplay)
-	case repairEvery < 0:
-		return fmt.Errorf("-repair-interval %v: must be >= 0 (0 = disable repair)", repairEvery)
+	case repairEvery <= 0:
+		return fmt.Errorf("-repair-interval %v: must be > 0 (repair is the only path that restocks a replica)", repairEvery)
 	}
 	return nil
 }

@@ -404,9 +404,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative peer-retries", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-peer-retries", "-1"}},
 		{"zero peer-breaker-cooldown", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-peer-breaker-cooldown", "0s"}},
 		{"replication below 1", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-replication", "0"}},
-		{"negative hint-queue", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-hint-queue", "-1"}},
-		{"zero hint-replay-interval", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-hint-replay-interval", "0s"}},
 		{"negative repair-interval", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-repair-interval", "-1s"}},
+		{"zero repair-interval", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-repair-interval", "0s"}},
 		{"peers and peers-file together", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-peers-file", "/tmp/does-not-matter"}},
 	}
 	if testing.Short() {

@@ -116,8 +116,8 @@ type pendingEntry struct {
 
 // Save writes one entry atomically: encode, write to a temp file, fsync,
 // rename over the final name, fsync the directory. A crash at any point
-// leaves either the old entry, no entry, or a stray temp file (ignored
-// and removed on load) — never a half-written entry under the final
+// leaves either the old entry, no entry, or a stray temp file (ignored,
+// and removed by LoadAll) — never a half-written entry under the final
 // name — and once Save returns the entry survives power loss, not just
 // process death. perm is the writing request's orig→canonical vertex
 // permutation; pass nil for label-sensitive (canon-off) entries.
@@ -140,12 +140,12 @@ func (s *Store) Save(key string, d *treedecomp.Decomposition, perm []int) error 
 }
 
 // commitFile is the atomic durable-write sequence shared by snapshot
-// entries and hinted-handoff files: write to a temp file, fsync it,
-// rename over the final name, fsync the directory. A crash at any
-// point leaves either the old file, no file, or a stray temp file
-// (removed on the next load) — never a half-written file under the
-// final name. The faultinject.DiskSync hook fires before the fsync so
-// injected faults exercise the window where only the temp file exists.
+// entries and session files: write to a temp file, fsync it, rename
+// over the final name, fsync the directory. A crash at any point
+// leaves either the old file, no file, or a stray temp file (removed
+// on the next load) — never a half-written file under the final name.
+// The faultinject.DiskSync hook fires before the fsync so injected
+// faults exercise the window where only the temp file exists.
 func commitFile(dir, final string, buf []byte) error {
 	tmp := final + tempSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -276,18 +276,13 @@ func UnwrapWire(raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-func (s *Store) skip(err error) { skipCount(s.reg, err) }
-
-// skipCount records one skipped-as-invalid file: version skew gets its
-// own counter, everything else is corruption. Snapshot entries and
-// hinted-handoff files share the verdict (and the counters) because
-// they share the frame — a damaged hint is rejected exactly like a
-// damaged snapshot.
-func skipCount(reg *telemetry.Registry, err error) {
+// skip records one skipped-as-invalid entry: version skew gets its own
+// counter, everything else is corruption.
+func (s *Store) skip(err error) {
 	if errors.Is(err, ErrVersionMismatch) {
-		reg.Counter("snapshot_version_mismatch_total").Inc()
+		s.reg.Counter("snapshot_version_mismatch_total").Inc()
 	} else {
-		reg.Counter("snapshot_corrupt_total").Inc()
+		s.reg.Counter("snapshot_corrupt_total").Inc()
 	}
 }
 
@@ -295,8 +290,19 @@ func skipCount(reg *telemetry.Registry, err error) {
 // limit entries (≤ 0 means all). Corrupt, truncated, or version-
 // mismatched entries are skipped with a counter — a damaged snapshot
 // directory degrades to a colder start, never a failed one. Stray temp
-// files from interrupted writes are removed.
+// files from interrupted writes are removed; this is the only place
+// that does so, because LoadAll is the startup path that runs before
+// StartFlusher — anywhere else a temp file may be a Save in flight.
 func (s *Store) LoadAll(limit int, fn func(key string, d *treedecomp.Decomposition, perm []int)) error {
+	dirents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("diskstore: %w", err)
+	}
+	for _, de := range dirents {
+		if strings.HasSuffix(de.Name(), tempSuffix) {
+			os.Remove(filepath.Join(s.dir, de.Name()))
+		}
+	}
 	files, err := s.listEntries()
 	if err != nil {
 		return err
@@ -351,8 +357,8 @@ type entryFile struct {
 	size  int64
 }
 
-// listEntries returns the snapshot entries newest-first and deletes
-// stray temp files as it goes.
+// listEntries returns the snapshot entries newest-first. Temp files and
+// directories are skipped, never touched.
 func (s *Store) listEntries() ([]entryFile, error) {
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -361,10 +367,6 @@ func (s *Store) listEntries() ([]entryFile, error) {
 	var files []entryFile
 	for _, de := range dirents {
 		name := de.Name()
-		if strings.HasSuffix(name, tempSuffix) {
-			os.Remove(filepath.Join(s.dir, name))
-			continue
-		}
 		if !strings.HasSuffix(name, entrySuffix) || de.IsDir() {
 			continue
 		}

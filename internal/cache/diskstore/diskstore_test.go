@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -383,6 +384,45 @@ func TestStrayTempFilesRemovedOnLoad(t *testing.T) {
 	}
 	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("stray temp file must be removed on load")
+	}
+}
+
+// Keys is served to every peer's repair sweep while the flusher may be
+// mid-Save: listing must never remove the temp file of a write that is
+// about to be renamed into place.
+func TestKeysDuringSavesLeavesWritesAlone(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := Open(t.TempDir(), 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := testDecomp(t, 91)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Keys()
+			}
+		}
+	}()
+	const saves = 200
+	failed := 0
+	for i := 0; i < saves; i++ {
+		if err := s.Save(fmt.Sprintf("%064x", i), d, nil); err != nil {
+			failed++
+		}
+	}
+	close(stop)
+	<-done
+	if got := reg.Counter("snapshot_save_errors_total").Value(); failed != 0 || got != 0 {
+		t.Fatalf("%d of %d saves failed (snapshot_save_errors_total = %d) under concurrent Keys, want 0", failed, saves, got)
+	}
+	if got := len(s.Keys()); got != saves {
+		t.Fatalf("Keys lists %d entries after %d saves", got, saves)
 	}
 }
 

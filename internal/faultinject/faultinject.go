@@ -32,8 +32,8 @@ const (
 	// is encoded but before any byte reaches the filesystem.
 	DiskWrite Point = "disk.write"
 	// DiskSync fires before the fsync-then-rename commit step shared by
-	// snapshot entries and hinted-handoff files — the window where a
-	// crash leaves only the temp file.
+	// snapshot entries and session files — the window where a crash
+	// leaves only the temp file.
 	DiskSync Point = "disk.sync"
 	// PeerFetch fires in the cluster peer-fetch client after a peer's
 	// response body has been read but before it is validated — the
@@ -41,12 +41,6 @@ const (
 	// bytes. Use FireBody at this site so a CorruptBody fault can
 	// actually mangle the payload.
 	PeerFetch Point = "peer.fetch"
-	// HintReplay fires in the cluster's hinted-handoff drainer before
-	// each replay push — an injected error makes the hint fail its
-	// attempt and stay queued (or be dropped once its attempt budget is
-	// exhausted), exercising the retry bookkeeping a flapping peer
-	// causes.
-	HintReplay Point = "hint.replay"
 	// RepairPull fires in the anti-entropy sweep before each missing
 	// entry is pulled from a replica — an injected error defers the key
 	// to a later sweep and ticks repair_pull_errors_total.
@@ -65,7 +59,7 @@ const (
 
 // Points lists every hook point compiled into the binary, for batteries
 // that want to inject at all of them.
-var Points = []Point{TreedecompSplit, HgptTable, CacheLookup, ServerSolve, DiskWrite, DiskSync, PeerFetch, HintReplay, RepairPull, SessionPatch, DecompRepair}
+var Points = []Point{TreedecompSplit, HgptTable, CacheLookup, ServerSolve, DiskWrite, DiskSync, PeerFetch, RepairPull, SessionPatch, DecompRepair}
 
 // Fault describes what happens when a hook point fires. Zero-valued
 // actions are skipped; several may be combined in one Fault (e.g. a

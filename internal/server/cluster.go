@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/url"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,18 +25,16 @@ import (
 // Replication (R = cfg.Replication, default 1) generalizes PR-era
 // single ownership: each key's home is its top-R HRW peers in rank
 // order. Fetches walk the replicas rank by rank and succeed if any one
-// is alive; pushes fan out to every remote replica. Three healing
-// mechanisms close the gaps replication alone leaves:
+// is alive; pushes fan out to every routable remote replica. Two
+// healing mechanisms close the gaps replication alone leaves:
 //
-//   - hinted handoff: a push whose target is unroutable (or fails
-//     after retries) is staged in a bounded, diskstore-backed hint
-//     queue and replayed by the drain loop once health gossip reports
-//     the target routable again;
-//   - anti-entropy repair: a periodic sweep exchanges key digests over
+//   - anti-entropy repair: a sweep exchanges key digests over
 //     GET /v1/peer/keys and pulls entries this daemon should replicate
-//     but lacks, converging replicas after partitions, rejoins, and
-//     membership changes (entries are content-addressed and immutable,
-//     so repair is conflict-free by construction);
+//     but lacks — the one path that restocks a replica after a missed
+//     push, a partition, a restart, or a membership change. It runs
+//     once at startup, whenever the health poller sees a peer recover,
+//     and on its interval (entries are content-addressed and
+//     immutable, so repair is conflict-free by construction);
 //   - dynamic membership: reload atomically swaps in a new ring
 //     (SIGHUP / -peers-file in hgpd), reusing surviving peer clients
 //     and their breaker state, and kicks a repair sweep to warm the
@@ -47,9 +44,9 @@ import (
 // Failure philosophy: the cluster is an accelerator, never a
 // dependency. Every fetch outcome except a hit falls back to the local
 // solve path (singleflight and degradation ladder intact), and every
-// push failure costs only a warm-cache opportunity until handoff or
-// repair delivers it. A daemon whose whole peer group is dead serves
-// exactly like a single-node daemon.
+// push failure costs only a warm-cache opportunity until repair
+// delivers it. A daemon whose whole peer group is dead serves exactly
+// like a single-node daemon.
 type cluster struct {
 	self string
 	rep  int // replication factor R; owners() clamps it to ring size
@@ -60,15 +57,11 @@ type cluster struct {
 	cfg Config
 
 	pollInterval   time.Duration
-	hintInterval   time.Duration
 	repairInterval time.Duration
 
-	// hints is the hinted-handoff queue; nil when handoff is disabled.
-	hints *diskstore.HintQueue
-
 	// srv is the owning server, set by startMaintenance before the
-	// drain/repair loops run: the sweep needs the local caches to
-	// answer "do I already hold this key?" and to store pulled entries.
+	// repair loop runs: the sweep needs the local caches to answer "do
+	// I already hold this key?" and to store pulled entries.
 	srv *Server
 
 	mu sync.Mutex
@@ -136,7 +129,6 @@ func newCluster(cfg Config) (*cluster, error) {
 		reg:            cfg.Registry,
 		cfg:            cfg,
 		pollInterval:   cfg.PeerHealthInterval,
-		hintInterval:   cfg.HintReplayInterval,
 		repairInterval: cfg.RepairInterval,
 		ring:           r,
 		clients:        map[string]*peerClient{},
@@ -155,20 +147,6 @@ func newCluster(cfg Config) (*cluster, error) {
 		c.health[p] = true
 		c.reg.Gauge(telemetry.Series("peer_healthy", "peer", p)).Set(1)
 		c.reg.Gauge(telemetry.Series("peer_breaker_state", "peer", p)).Set(int64(breakerClosed))
-	}
-	if cfg.HintQueueEntries >= 0 {
-		dir := ""
-		if cfg.StateDir != "" {
-			// A subdirectory of the snapshot store: listEntries skips
-			// directories, so snapshots and hints coexist under one
-			// -state-dir without seeing each other's files.
-			dir = filepath.Join(cfg.StateDir, "hints")
-		}
-		hq, err := diskstore.OpenHintQueue(dir, cfg.HintQueueEntries, cfg.Registry)
-		if err != nil {
-			return nil, err
-		}
-		c.hints = hq
 	}
 	// Pre-register the full outcome families at zero: scrapers should
 	// never see a series pop into existence mid-flight.
@@ -202,31 +180,21 @@ func (c *cluster) newClient(peer string) *peerClient {
 }
 
 // startMaintenance wires the cluster to its owning server and starts
-// the background healing loops (hint drain, anti-entropy repair). It
-// is separate from newCluster because the loops read the server's
-// caches, which do not exist yet when the cluster is constructed.
+// the anti-entropy repair loop. It is separate from newCluster because
+// the loop reads the server's caches, which do not exist yet when the
+// cluster is constructed.
 func (c *cluster) startMaintenance(s *Server) {
 	c.srv = s
-	if c.hints != nil {
-		c.loopWG.Add(1)
-		go c.drainLoop()
-	}
-	if c.repairInterval > 0 {
-		c.loopWG.Add(1)
-		go c.repairLoop()
-	}
+	c.loopWG.Add(1)
+	go c.repairLoop()
 }
 
 // close stops the background loops and waits for in-flight pushes — a
-// graceful shutdown must not abandon goroutines mid-PUT — then flushes
-// staged hints so the handoff this daemon owes survives the restart.
+// graceful shutdown must not abandon goroutines mid-PUT.
 func (c *cluster) close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.loopWG.Wait()
 	c.pushWG.Wait()
-	if c.hints != nil {
-		_ = c.hints.FlushPending()
-	}
 }
 
 // snapshotRing returns the current (immutable) ring.
@@ -276,7 +244,7 @@ func (c *cluster) countFetch(o fetchOutcome) {
 // classification — one peer_fetch_total row and one breaker verdict
 // per peer attempted. Any non-hit outcome walks on to the next
 // replica: a definitive miss on one replica says nothing about the
-// others (pushes, handoff, or repair may not have converged yet), and
+// others (pushes or repair may not have converged yet), and
 // an error is exactly the node-loss case replication exists for. A nil
 // return means "solve locally" — the caller never needs to distinguish
 // why. With R=1 the walk visits at most the single owner, the pre-
@@ -330,8 +298,7 @@ func (c *cluster) fetchResult(ctx context.Context, key string) (*hgp.Result, boo
 }
 
 // peerKindDecomp and peerKindResult name the two entry kinds the
-// /v1/peer data surface carries; the kind is also what a hint records
-// so replay can reconstruct the path.
+// /v1/peer data surface carries.
 const (
 	peerKindDecomp = "decomp"
 	peerKindResult = "result"
@@ -360,13 +327,14 @@ func decodeResultPayload(payload []byte) (any, error) {
 	return res, nil
 }
 
-// pushTo PUTs a framed body to every remote replica of key in the
-// background. The peer_push_inflight gauge is incremented synchronously
-// — before this function returns — so a caller (or test) that polls
-// the gauge to zero after issuing requests has a race-free "all pushes
-// settled" barrier. A replica that is unroutable at routing time, or
-// whose push fails after retries, gets the entry staged as a hint
-// instead — delivery is deferred, not abandoned.
+// pushTo PUTs a framed body to every routable remote replica of key in
+// the background. The peer_push_inflight gauge is incremented
+// synchronously — before this function returns — so a caller (or test)
+// that polls the gauge to zero after issuing requests has a race-free
+// "all pushes settled" barrier. A replica that is unroutable at routing
+// time is skipped, and one whose push fails after retries is counted
+// in peer_push_total{outcome="error"}; either way the replica pulls
+// the entry on its next repair sweep.
 func (c *cluster) pushTo(kind, key string, payload []byte) {
 	body := diskstore.WrapWire(payload)
 	for _, peer := range c.replicasOf(key) {
@@ -374,11 +342,7 @@ func (c *cluster) pushTo(kind, key string, payload []byte) {
 			continue
 		}
 		pc := c.client(peer)
-		if pc == nil {
-			continue
-		}
-		if !c.routable(peer) {
-			c.stageHint(peer, kind, key, payload)
+		if pc == nil || !c.routable(peer) {
 			continue
 		}
 		c.reg.Gauge("peer_push_inflight").Add(1)
@@ -392,7 +356,6 @@ func (c *cluster) pushTo(kind, key string, payload []byte) {
 				c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "ok")).Inc()
 			} else {
 				c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "error")).Inc()
-				c.stageHint(peer, kind, key, payload)
 			}
 			c.publishBreaker(peer, pc)
 		}(peer, pc)
@@ -419,90 +382,37 @@ func (c *cluster) pushResult(key string, res *hgp.Result) {
 	c.pushTo(peerKindResult, key, diskstore.EncodeResult(res))
 }
 
-// stageHint queues an undeliverable push for hinted handoff (a no-op
-// when handoff is disabled; anti-entropy remains the backstop).
-func (c *cluster) stageHint(peer, kind, key string, payload []byte) {
-	if c.hints == nil {
-		return
-	}
-	c.hints.Stage(diskstore.Hint{Peer: peer, Kind: kind, Key: key, Payload: payload})
-}
-
-// hintReplayBatch bounds how many hints one drain tick replays per
-// peer: a node returning from a long outage absorbs its backlog across
-// a few ticks instead of one burst.
-const hintReplayBatch = 32
-
-// drainLoop is the hinted-handoff drainer: each tick it persists
-// freshly staged hints (snapshot fsync discipline), then replays
-// staged hints whose target the health poller reports routable.
-func (c *cluster) drainLoop() {
-	defer c.loopWG.Done()
-	t := time.NewTicker(c.hintInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		c.drainHints()
-	}
-}
-
-func (c *cluster) drainHints() {
-	_ = c.hints.FlushPending()
-	for _, peer := range c.hints.Peers() {
-		pc := c.client(peer)
-		if pc == nil {
-			// The peer left the ring; its hints can never deliver.
-			c.hints.DropPeer(peer)
-			continue
-		}
-		if !c.routable(peer) {
-			continue
-		}
-		for _, h := range c.hints.TakeFor(peer, hintReplayBatch) {
-			if err := faultinject.Fire(nil, faultinject.HintReplay); err != nil {
-				c.hints.Fail(h)
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), pushBudget(pc))
-			ok := pc.push(ctx, peerPath(h.Kind, h.Key), diskstore.WrapWire(h.Payload))
-			cancel()
-			c.publishBreaker(peer, pc)
-			if !ok {
-				// The peer looked healthy but the replay failed: stop
-				// hammering it this tick and let gossip re-evaluate.
-				c.hints.Fail(h)
-				break
-			}
-			c.hints.Resolve(h)
-		}
-	}
-	_ = c.hints.FlushPending()
-}
-
 // repairMaxPulls bounds one anti-entropy sweep: the sweep is a low-rate
 // background healer, not a bulk transfer — a freshly blanked replica
 // converges over a few sweeps instead of saturating its peers in one.
 const repairMaxPulls = 64
 
-// repairLoop runs the anti-entropy sweep on its interval, plus
-// immediately when a membership reload kicks it (the sweep doubles as
-// the rebalancer that warms newly acquired replica sets).
+// repairLoop runs the anti-entropy sweep once at startup (a restarted
+// replica pulls what it missed while down), then on its interval, plus
+// immediately when kicked: by a membership reload (the sweep doubles
+// as the rebalancer that warms newly acquired replica sets) or by the
+// health poller seeing a peer recover (a healed partition).
 func (c *cluster) repairLoop() {
 	defer c.loopWG.Done()
 	t := time.NewTicker(c.repairInterval)
 	defer t.Stop()
 	for {
+		c.repairSweep()
 		select {
 		case <-c.stop:
 			return
 		case <-t.C:
 		case <-c.repairKick:
 		}
-		c.repairSweep()
+	}
+}
+
+// kickRepair asks the repair loop for a sweep now; a kick already
+// pending absorbs this one.
+func (c *cluster) kickRepair() {
+	select {
+	case c.repairKick <- struct{}{}:
+	default:
 	}
 }
 
@@ -591,10 +501,9 @@ func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget 
 // peers are reused — their breaker state and health verdicts describe
 // the peer, not the membership epoch — new peers start optimistically
 // routable exactly like startup, and removed peers' clients, health
-// verdicts, gauges, and staged hints are dropped. A repair sweep is
-// kicked so newly acquired replica sets warm without waiting for the
-// next interval; HRW's minimal-movement property bounds how much there
-// is to warm.
+// verdicts, and gauges are dropped. A repair sweep is kicked so newly
+// acquired replica sets warm without waiting for the next interval;
+// HRW's minimal-movement property bounds how much there is to warm.
 func (c *cluster) reload(peers []string) error {
 	r, err := validateMembership(peers, c.self)
 	if err != nil {
@@ -632,16 +541,10 @@ func (c *cluster) reload(peers []string) error {
 	for _, p := range removed {
 		c.reg.DropGauge(telemetry.Series("peer_healthy", "peer", p))
 		c.reg.DropGauge(telemetry.Series("peer_breaker_state", "peer", p))
-		if c.hints != nil {
-			c.hints.DropPeer(p)
-		}
 	}
 	c.reg.Counter("membership_reloads_total").Inc()
 	c.reg.Gauge("cluster_peers").Set(int64(len(r.members())))
-	select {
-	case c.repairKick <- struct{}{}:
-	default:
-	}
+	c.kickRepair()
 	return nil
 }
 
@@ -653,6 +556,10 @@ func (c *cluster) routable(peer string) bool {
 	return c.health[peer]
 }
 
+// setRoutable records a poll verdict. A peer that turns routable after
+// being unroutable kicks a repair sweep: whatever it missed while cut
+// off, or whatever this daemon missed from it, heals now rather than
+// at the next interval.
 func (c *cluster) setRoutable(peer string, ok bool) {
 	c.mu.Lock()
 	if _, member := c.clients[peer]; !member {
@@ -661,6 +568,7 @@ func (c *cluster) setRoutable(peer string, ok bool) {
 		c.mu.Unlock()
 		return
 	}
+	recovered := ok && !c.health[peer]
 	c.health[peer] = ok
 	c.mu.Unlock()
 	v := int64(0)
@@ -668,6 +576,9 @@ func (c *cluster) setRoutable(peer string, ok bool) {
 		v = 1
 	}
 	c.reg.Gauge(telemetry.Series("peer_healthy", "peer", peer)).Set(v)
+	if recovered {
+		c.kickRepair()
+	}
 }
 
 func (c *cluster) publishBreaker(peer string, pc *peerClient) {
@@ -772,11 +683,6 @@ type clusterStats struct {
 	PushOK         int64 `json:"push_ok,omitempty"`
 	PushErrors     int64 `json:"push_errors,omitempty"`
 	PushesInflight int64 `json:"pushes_inflight"`
-	// Hinted handoff: queue depth plus lifetime staged/replayed/dropped.
-	HintsQueued   int64 `json:"hints_queued"`
-	HintsStaged   int64 `json:"hints_staged,omitempty"`
-	HintsReplayed int64 `json:"hints_replayed,omitempty"`
-	HintsDropped  int64 `json:"hints_dropped,omitempty"`
 	// Anti-entropy repair sweep totals.
 	RepairSweeps     int64 `json:"repair_sweeps,omitempty"`
 	RepairPulled     int64 `json:"repair_pulled,omitempty"`
@@ -802,16 +708,10 @@ func (c *cluster) stats() clusterStats {
 		PushOK:            c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "ok")).Value(),
 		PushErrors:        c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "error")).Value(),
 		PushesInflight:    c.reg.Gauge("peer_push_inflight").Value(),
-		HintsStaged:       c.reg.Counter("hints_staged_total").Value(),
-		HintsReplayed:     c.reg.Counter("hints_replayed_total").Value(),
-		HintsDropped:      c.reg.Counter("hints_dropped_total").Value(),
 		RepairSweeps:      c.reg.Counter("repair_sweeps_total").Value(),
 		RepairPulled:      c.reg.Counter("repair_pulled_total").Value(),
 		RepairPullErrors:  c.reg.Counter("repair_pull_errors_total").Value(),
 		MembershipReloads: c.reg.Counter("membership_reloads_total").Value(),
-	}
-	if c.hints != nil {
-		cs.HintsQueued = int64(c.hints.Len())
 	}
 	for _, p := range c.snapshotRing().members() {
 		row := clusterPeerStats{Peer: p}

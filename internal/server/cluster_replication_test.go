@@ -139,69 +139,57 @@ func TestClusterReplicaFetchFailover(t *testing.T) {
 	}
 }
 
-// A push whose target is shed by gossip is staged as a hint and
-// replayed once the target is routable again: the owner ends up with
-// the entry without ever rebuilding it.
-func TestClusterHintStagedAndReplayed(t *testing.T) {
+// A healed partition restocks the replica at once: while the two nodes
+// have shed each other, a build cannot be pushed to its owner; when
+// the owner's poller sees the builder recover it kicks a repair sweep
+// that pulls the entry, long before the hourly periodic sweep.
+func TestClusterRepairOnPartitionHeal(t *testing.T) {
 	nodes := startTestCluster(t, 2, func(i int, cfg *Config) {
-		cfg.HintReplayInterval = 50 * time.Millisecond
+		cfg.RepairInterval = time.Hour
 	})
 	req := reqOwnedBy(t, nodes, 0, decompKeyFor)
 	owner, builder := nodes[0], nodes[1]
 
-	// Take the owner off the air (handler-level, so its own client loops
-	// keep running) and wait for gossip to shed it.
-	owner.swap.h.Store(http.NotFoundHandler())
+	// Partition: both peer-facing handlers go dark (the test still
+	// drives each Server directly) until each poller has shed the other.
+	for _, nd := range nodes {
+		nd.swap.h.Store(http.NotFoundHandler())
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for builder.srv.cluster.routable(owner.url) {
+	for owner.srv.cluster.routable(builder.url) || builder.srv.cluster.routable(owner.url) {
 		if time.Now().After(deadline) {
-			t.Fatal("owner never shed from routing")
+			t.Fatal("the partition never shed both peers")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	pulled := owner.reg.Counter("repair_pulled_total").Value()
 
 	postPartition(t, builder.srv.Handler(), req)
-	if got := builder.reg.Counter("hints_staged_total").Value(); got != 1 {
-		t.Fatalf("hints_staged_total = %d, want 1 (push to shed owner must stage)", got)
-	}
-	if got := builder.reg.Gauge("hints_queued").Value(); got != 1 {
-		t.Fatalf("hints_queued = %d, want 1", got)
-	}
+	waitPushesSettled(t, builder)
 	if got := labeled(builder.reg, "peer_push_total", "outcome", "ok"); got != 0 {
-		t.Fatalf("peer_push_total{outcome=ok} = %d, want 0 (nothing was deliverable)", got)
+		t.Fatalf("peer_push_total{outcome=ok} = %d, want 0 (the owner was unroutable)", got)
 	}
 
-	// Rejoin: gossip restores the owner, the drainer replays the hint.
-	owner.swap.h.Store(owner.srv.Handler())
-	waitCounter(t, builder.reg, "hints_replayed_total", 1)
-	deadline = time.Now().Add(5 * time.Second)
-	for builder.reg.Gauge("hints_queued").Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hint queue never drained")
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, nd := range nodes {
+		nd.swap.h.Store(nd.srv.Handler())
 	}
+	waitCounter(t, owner.reg, "repair_pulled_total", pulled+1)
 
 	warm := decodeResponse(t, postPartition(t, owner.srv.Handler(), req))
 	if !warm.CacheHit {
-		t.Fatalf("owner must hit the replayed entry: %+v", warm)
+		t.Fatalf("owner must hit the repaired entry: %+v", warm)
 	}
 	if got := owner.reg.Counter("decomp_builds_total").Value(); got != 0 {
-		t.Fatalf("owner rebuilt despite the replay: builds = %d, want 0", got)
-	}
-	// Replays are handoff traffic, not request-path pushes: the
-	// peer_push_total family stays untouched.
-	if got := labeled(builder.reg, "peer_push_total", "outcome", "ok"); got != 0 {
-		t.Fatalf("peer_push_total{outcome=ok} = %d after replay, want 0", got)
+		t.Fatalf("owner rebuilt despite repair: builds = %d, want 0", got)
 	}
 }
 
-// With handoff disabled, anti-entropy is the backstop: a replica that
-// missed a push converges by pulling the entry on its repair sweep —
-// and the pull stays invisible to the request-path fetch counters.
+// A one-sided outage: the builder sheds the owner and skips the push,
+// but the owner reaches the builder the whole time, so no recovery
+// kick fires on its side and its periodic sweep pulls the entry — a
+// pull that stays invisible to the request-path fetch counters.
 func TestClusterRepairConvergesMissedPush(t *testing.T) {
 	nodes := startTestCluster(t, 2, func(i int, cfg *Config) {
-		cfg.HintQueueEntries = -1 // no handoff: isolate the repair path
 		cfg.RepairInterval = 75 * time.Millisecond
 	})
 	req := reqOwnedBy(t, nodes, 0, decompKeyFor)
@@ -216,9 +204,6 @@ func TestClusterRepairConvergesMissedPush(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	postPartition(t, builder.srv.Handler(), req)
-	if got := builder.reg.Counter("hints_staged_total").Value(); got != 0 {
-		t.Fatalf("hints_staged_total = %d with handoff disabled, want 0", got)
-	}
 
 	owner.swap.h.Store(owner.srv.Handler())
 	waitCounter(t, owner.reg, "repair_pulled_total", 1)

@@ -20,19 +20,24 @@
 // rejects new solves with 503 while Shutdown waits for every in-flight
 // solve to finish.
 //
-// With Config.Peers set the daemon joins a static shard group
-// (DESIGN.md §13): a rendezvous-hash ring gives every cache key one
-// owner, non-owners fetch the owner's copy over the internal
-// /v1/peer/* surface (snapshot wire framing, validated like snapshot
-// files) before building, and push their own builds owner-ward.
-// Retry/backoff, a per-peer circuit breaker, and health gossip bound
-// the cost of dead or draining peers; every fetch failure falls back
-// to the local solve path.
+// With Config.Peers set the daemon joins a shard group (DESIGN.md
+// §13–§14): a rendezvous-hash ring homes every cache key on its top-R
+// peers (Config.Replication). Non-replicas fetch a replica's copy over
+// the internal /v1/peer/* surface (snapshot wire framing, validated
+// like snapshot files) before building, and push their own builds to
+// every routable replica. Anti-entropy repair restocks a replica that
+// missed a push: it sweeps at startup, when a peer recovers, after a
+// membership reload, and on Config.RepairInterval. Retry/backoff, a
+// per-peer circuit breaker, and health gossip bound the cost of dead
+// or draining peers; every fetch failure falls back to the local
+// solve path. Sessions stay on the daemon that registered them.
 //
 // Main entry points: New builds a Server from a Config; Server.Handler
-// returns the http.Handler exposing /v1/partition, /v1/healthz,
-// /v1/stats (JSON or Prometheus text via ?format=prometheus), and
-// /debug/pprof/*; Server.Shutdown drains. Observability flows through
-// internal/telemetry (request counters, queue gauges, per-phase latency
-// histograms). API.md documents the wire format with runnable examples.
+// returns the http.Handler exposing /v1/partition, the /v1/graphs
+// session routes, /v1/healthz, /v1/stats (JSON or Prometheus text via
+// ?format=prometheus), and /debug/pprof/*; Server.ReloadPeers swaps
+// cluster membership; Server.Shutdown drains. Observability flows
+// through internal/telemetry (request counters, queue gauges,
+// per-phase latency histograms). API.md documents the wire format with
+// runnable examples.
 package server

@@ -327,8 +327,8 @@ func isVersionMismatch(err error) bool {
 // replication of an entry this daemon built for a key it does not own.
 // Pushes share the fetch path's timeout/retry/backoff discipline and
 // breaker (a peer too sick to serve fetches is too sick to absorb
-// pushes), but a failed push is only a lost warm-cache opportunity: the
-// owner rebuilds on its next request for the key.
+// pushes), but a failed push is only a delayed warm-cache opportunity:
+// the replica pulls the entry on a later repair sweep.
 func (pc *peerClient) push(ctx context.Context, path string, body []byte) bool {
 	if !pc.brk.allow() {
 		return false

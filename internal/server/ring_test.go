@@ -232,8 +232,8 @@ func TestRingOwnersClamps(t *testing.T) {
 // removing a peer deletes it from each key's ranked list without
 // reordering the survivors, so a key's replica set after a node loss
 // is exactly its old ranked list with the dead peer struck out. This
-// is the property that lets hinted handoff and repair reason about
-// "the same replicas, minus the failed one".
+// is the property that lets repair reason about "the same replicas,
+// minus the failed one".
 func TestRingOwnersPrefixStableUnderMembershipChange(t *testing.T) {
 	peers := ringPeers(5)
 	full := mustRing(t, peers)

@@ -104,10 +104,10 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Peers, when non-empty, turns on cluster mode: the full static
 	// membership of the shard group as base URLs (including this
-	// daemon's own, which must equal Self). Every cache key is owned by
-	// exactly one peer under rendezvous hashing; non-owners fetch from
-	// the owner on a local miss and push locally built entries back to
-	// it. Requires caching (CacheEntries > 0).
+	// daemon's own, which must equal Self). Every cache key is homed on
+	// its top-Replication peers under rendezvous hashing; non-replicas
+	// fetch from them on a local miss and push locally built entries
+	// to them. Requires caching (CacheEntries > 0).
 	Peers []string
 	// Self is this daemon's own entry in Peers — the base URL other
 	// peers reach it at.
@@ -144,21 +144,15 @@ type Config struct {
 	// Replication is R, the number of peers that home each cache key —
 	// its top-R rendezvous-hash owners, clamped to the cluster size.
 	// Fetches walk the replicas in rank order (any live one serves);
-	// pushes fan out to all of them. Zero means 1: single ownership,
-	// the pre-replication behavior, bit-identical routing included.
+	// pushes fan out to every routable one. Zero means 1: single
+	// ownership, the pre-replication behavior, bit-identical routing
+	// included.
 	Replication int
-	// HintQueueEntries bounds the hinted-handoff queue: pushes whose
-	// target replica is down are staged (durably, under StateDir) and
-	// replayed when health gossip reports the peer back. Zero means
-	// 512; negative disables handoff (anti-entropy still heals).
-	HintQueueEntries int
-	// HintReplayInterval is how often the handoff drainer persists and
-	// replays staged hints. Zero means 2s.
-	HintReplayInterval time.Duration
 	// RepairInterval is how often the anti-entropy sweep exchanges key
 	// digests with peers (GET /v1/peer/keys) and pulls entries this
-	// daemon should replicate but lacks. Zero means 30s; negative
-	// disables repair.
+	// daemon should replicate but lacks; the sweep also runs at startup
+	// and whenever a peer recovers. Zero or negative means 30s — repair
+	// is the only path that restocks a replica, so it cannot be off.
 	RepairInterval time.Duration
 	// MaxSessions bounds the graph-session LRU (the /v1/graphs
 	// incremental repartitioning surface): registrations beyond it evict
@@ -237,13 +231,7 @@ func (c Config) withDefaults() Config {
 	if c.Replication <= 0 {
 		c.Replication = 1
 	}
-	if c.HintQueueEntries == 0 {
-		c.HintQueueEntries = 512
-	}
-	if c.HintReplayInterval <= 0 {
-		c.HintReplayInterval = 2 * time.Second
-	}
-	if c.RepairInterval == 0 {
+	if c.RepairInterval <= 0 {
 		c.RepairInterval = 30 * time.Second
 	}
 	if c.MaxSessions == 0 {
@@ -379,8 +367,8 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("PUT /v1/peer/result/{key}", s.handlePeerResultPut)
 		s.mux.HandleFunc("GET /v1/peer/health", s.handlePeerHealth)
 		s.mux.HandleFunc("GET /v1/peer/keys", s.handlePeerKeys)
-		// The healing loops (hint drain, anti-entropy repair) read the
-		// server's caches, so they start only after both sides exist.
+		// The repair loop reads the server's caches, so it starts only
+		// after both sides exist.
 		cl.startMaintenance(s)
 	}
 	s.registerSessionMetrics()
@@ -590,8 +578,7 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 					// replica routing consults next would rebuild the
 					// same decomposition and "one build per key
 					// cluster-wide" would not hold; a replica that is
-					// down right now gets its copy via hinted handoff
-					// instead.
+					// down right now gets its copy via repair instead.
 					s.cluster.pushDecomp(key, entry)
 				}
 				return built, nil
