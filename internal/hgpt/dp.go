@@ -55,13 +55,16 @@ type Solver struct {
 
 	// Bound, when non-nil, is an incumbent cost ceiling: DP entries
 	// whose partial objective strictly exceeds its current value are
-	// dropped at insertion (ties are kept), because per-level merge
-	// increments are never negative — Δ(k) = (cm(k−1)−cm(k))/2 ≥ 0 on a
-	// non-increasing cm — so a partial above the bound can only grow.
-	// When filtering under a finite ceiling empties a table (or leaves
-	// no valid root signature), the solve aborts with a *BoundError
-	// wrapping ErrBoundExceeded instead of finishing a tree that cannot
-	// beat the incumbent.
+	// dropped (ties are kept), because per-level merge increments are
+	// never negative — Δ(k) = (cm(k−1)−cm(k))/2 ≥ 0 on a non-increasing
+	// cm — so a partial above the bound can only grow. Every insertion
+	// checks the ceiling, and because finished tables are cost-sorted,
+	// the merge scans stop at the first child row above it instead of
+	// enumerating candidates the filter would drop. When filtering under
+	// a finite ceiling empties a table (or leaves no valid root
+	// signature), the solve aborts with a *BoundError wrapping
+	// ErrBoundExceeded instead of finishing a tree that cannot beat the
+	// incumbent.
 	//
 	// The bound is RE-READ at the run's existing poll points — once per
 	// table, once per sharded node — so a shared bound tightened by a
@@ -211,31 +214,20 @@ func (s Solver) SolveContext(ctx context.Context, t *tree.Tree, H *hierarchy.Hie
 	if err != nil {
 		return nil, err
 	}
-	bt, h, codec := dp.bt, dp.h, dp.codec
+	bt := dp.bt
 
-	root := bt.Root()
-	bestKey, bestCost := uint64(0), math.Inf(1)
-	found := false
-	sig := make([]int, h+1)
-	for k, e := range tabs[root] {
-		// A zero-demand region at the root would be a mirror piece that
-		// belongs to no set: such signatures cannot be completed.
-		codec.decode(k, sig)
-		valid := true
-		for j := 1; j <= h; j++ {
-			if sig[j] == 1 {
-				valid = false
-				break
-			}
-		}
-		// Tie-break by key so the chosen solution does not depend on map
-		// iteration order (results must be deterministic per seed).
-		if valid && (e.cost < bestCost || (e.cost == bestCost && found && k < bestKey)) {
-			bestKey, bestCost = k, e.cost
-			found = true
+	// The root's rows are in (cost, key) order, so its first valid row is
+	// the optimum with ties broken by key: the chosen solution does not
+	// depend on evaluation order (results must be deterministic per seed).
+	rootTab := tabs[bt.Root()]
+	best := -1
+	for i := range rootTab.rows {
+		if validRoot(rootTab.sig(i, dp.h+1)) {
+			best = i
+			break
 		}
 	}
-	if math.IsInf(bestCost, 1) {
+	if best < 0 {
 		if !math.IsInf(dp.minApplied(), 1) {
 			// A finite ceiling was applied somewhere: every completion was
 			// filtered by the incumbent bound (or, corner case, the tree
@@ -246,6 +238,7 @@ func (s Solver) SolveContext(ctx context.Context, t *tree.Tree, H *hierarchy.Hie
 		}
 		return nil, errors.New("hgpt: no feasible relaxed solution (demand exceeds total capacity)")
 	}
+	bestKey, bestCost := rootTab.rows[best].key, rootTab.rows[best].cost
 
 	relaxedBT := dp.reconstruct(tabs, bestKey)
 	relaxed := relabelFamily(relaxedBT, t, origOf)
@@ -281,6 +274,18 @@ func (s Solver) SolveContext(ctx context.Context, t *tree.Tree, H *hierarchy.Hie
 	}, nil
 }
 
+// validRoot reports whether a root signature can be completed: a
+// zero-demand region at the root would be a mirror piece that belongs to
+// no set.
+func validRoot(sig []int) bool {
+	for _, x := range sig[1:] {
+		if x == 1 {
+			return false
+		}
+	}
+	return true
+}
+
 type dpRun struct {
 	bt            *tree.Tree
 	h             int
@@ -293,6 +298,7 @@ type dpRun struct {
 	boundSrc      *CostBound // live incumbent ceiling (nil = unbounded)
 	literalEq4    bool       // ablation: Equation (4) verbatim
 	noZeroRegions bool       // ablation: forbid zero-demand mirror regions
+	pruneOn       bool       // dominance-prune every table as it freezes
 
 	// applied tracks (as float bits) the tightest bound value loadBound
 	// has returned: the fact an abort proves (optimum > minApplied), and
@@ -306,18 +312,24 @@ type dpRun struct {
 	// reused is atomic because scheduler workers hit concurrently.
 	hashes    []string
 	reuseSig  string
-	reuseTabs map[string]map[uint64]entry
+	reuseTabs map[string]*dpTable
 	reused    atomic.Int64
 
-	// scratch pools the per-merge signature buffers so the DP inner loop
-	// allocates nothing per child-signature pair (shared safely by the
-	// concurrent scheduler: each borrower holds a distinct buffer).
+	// scratch pools the per-merge signature buffers and the build index
+	// so the DP inner loop allocates nothing per child-signature pair and
+	// a run grows its index maps once rather than per table (shared
+	// safely by the concurrent scheduler: each borrower holds a distinct
+	// scratch).
 	scratch sync.Pool
 }
 
+// dpScratch is one borrower's working set. idx is the build index of
+// the node being merged: a map from signature key to its best entry so
+// far, frozen into a dpTable (and cleared) when the node completes.
 type dpScratch struct {
 	sig    []int
 	parent []int
+	idx    map[uint64]entry
 }
 
 // newRun scales the instance and assembles the immutable DP context
@@ -386,16 +398,17 @@ func (s Solver) newRun(t *tree.Tree, H *hierarchy.Hierarchy) (*dpRun, []int, err
 	// every live value the run filters under (see loadBound).
 	dp.applied.Store(math.Float64bits(math.Inf(1)))
 	dp.scratch.New = func() any {
-		return &dpScratch{sig: make([]int, h+1), parent: make([]int, h+1)}
+		return &dpScratch{sig: make([]int, h+1), parent: make([]int, h+1), idx: map[uint64]entry{}}
 	}
 	return dp, origOf, nil
 }
 
-// putEntry installs e under key, keeping the lexicographic minimum of
-// (cost, s1, s2, j1, j2). Equal-cost ties break on the backpointer tuple
-// so the table's contents never depend on evaluation order: the whole
-// pipeline stays deterministic per seed even when subtrees solve
-// concurrently and cross-products are sharded across workers.
+// putEntry installs e under key in a build index, keeping the
+// lexicographic minimum of (cost, s1, s2, j1, j2). Equal-cost ties break
+// on the backpointer tuple so the table's contents never depend on
+// evaluation order: the whole pipeline stays deterministic per seed even
+// when subtrees solve concurrently and cross-products are sharded across
+// workers.
 func putEntry(out map[uint64]entry, key uint64, e entry) {
 	if math.IsInf(e.cost, 1) || math.IsNaN(e.cost) {
 		return
@@ -404,49 +417,6 @@ func putEntry(out map[uint64]entry, key uint64, e entry) {
 	if !ok || e.cost < old.cost || (e.cost == old.cost && entryLess(e, old)) {
 		out[key] = e
 	}
-}
-
-// mergeTables folds src into dst under the putEntry rule. Folding the
-// per-worker shard tables in any order yields the same dst: putEntry
-// realizes a minimum under a strict total order, which is commutative
-// and associative.
-func mergeTables(dst, src map[uint64]entry) {
-	for k, e := range src {
-		old, ok := dst[k]
-		if !ok || e.cost < old.cost || (e.cost == old.cost && entryLess(e, old)) {
-			dst[k] = e
-		}
-	}
-}
-
-// decTab is a DP table decoded into flat parallel slices: the merge
-// loops read each child signature once instead of re-decoding it for
-// every pair of the cross-product.
-type decTab struct {
-	keys  []uint64
-	costs []float64
-	sigs  []int // stride h+1; row i is sigs[i*(h+1) : (i+1)*(h+1)]
-	depth []int // region depth per row (see regionDepth)
-}
-
-func (d *dpRun) decodeTab(tab map[uint64]entry) *decTab {
-	stride := d.h + 1
-	t := &decTab{
-		keys:  make([]uint64, 0, len(tab)),
-		costs: make([]float64, 0, len(tab)),
-		sigs:  make([]int, len(tab)*stride),
-		depth: make([]int, 0, len(tab)),
-	}
-	i := 0
-	for k, e := range tab {
-		t.keys = append(t.keys, k)
-		t.costs = append(t.costs, e.cost)
-		row := t.sigs[i*stride : (i+1)*stride]
-		d.codec.decode(k, row)
-		t.depth = append(t.depth, regionDepth(row))
-		i++
-	}
-	return t
 }
 
 // regionDepth returns the deepest level at which the signature has a
@@ -475,64 +445,56 @@ func regionDepth(sig []int) int {
 // (futureMin; +Inf ceiling when unbounded). Tightening the ceiling per
 // node never changes the solve's outcome — see the invariant note on
 // futureMin in scheduler.go.
-func (d *dpRun) table(v int, tabs []map[uint64]entry, effBound float64) map[uint64]entry {
-	h := d.h
+func (d *dpRun) table(v int, tabs []*dpTable, effBound float64) *dpTable {
+	sc := d.scratch.Get().(*dpScratch)
 	if d.bt.IsLeaf(v) {
-		sc := d.scratch.Get().(*dpScratch)
 		sig := sc.sig
-		sig[0] = 0
-		for j := 1; j <= h; j++ {
+		for j := 1; j <= d.h; j++ {
 			sig[j] = d.du[v] + 1 // region carrying the leaf's demand
 		}
-		out := map[uint64]entry{d.codec.encode(sig): {kind: 0}}
+		key := d.codec.encode(sig)
 		d.scratch.Put(sc)
-		return out
+		return d.newTable([]tableRow{{key: key, entry: entry{kind: 0}}})
 	}
-
 	kids := d.bt.Children(v)
-	if len(kids) == 1 {
-		return d.oneChildTable(kids[0], tabs[kids[0]], effBound)
-	}
-	if len(kids) != 2 {
+	switch len(kids) {
+	case 1:
+		d.oneChildTable(sc, kids[0], tabs[kids[0]], effBound)
+	case 2:
+		c1, c2 := kids[0], kids[1]
+		d.crossInto(sc, tabs[c1], d.bt.EdgeWeight(c1), 0, 1, tabs[c2], d.bt.EdgeWeight(c2), effBound)
+	default:
 		panic("hgpt: tree not binarized")
 	}
-	c1, c2 := kids[0], kids[1]
-	t1, t2 := d.decodeTab(tabs[c1]), d.decodeTab(tabs[c2])
-	out := make(map[uint64]entry, presize(len(t1.keys), len(t2.keys)))
-	d.crossInto(out, t1, d.bt.EdgeWeight(c1), 0, len(t1.keys), t2, d.bt.EdgeWeight(c2), effBound)
-	return out
+	return d.freeze(sc)
 }
 
-// presize estimates a two-child table's cardinality for map pre-sizing:
-// merged tables usually land near the larger child's size, not near the
-// pair count.
-func presize(n1, n2 int) int {
-	if n2 > n1 {
-		n1 = n2
-	}
-	return 2 * n1
-}
-
-// oneChildTable merges a single child table upward (c1 is v's only
-// child, tab its table).
-func (d *dpRun) oneChildTable(c1 int, tab map[uint64]entry, effBound float64) map[uint64]entry {
+// oneChildTable merges a single child table upward into the build index
+// sc.idx (c1 is v's only child, tab its table). Rows arrive cost-sorted
+// and merge increments are never negative, so the scan stops at the
+// first row above the ceiling: none of its candidates — the
+// unchanged-signature fast path's included — could pass the filter.
+func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound float64) {
 	h := d.h
+	stride := h + 1
 	w1 := d.bt.EdgeWeight(c1)
-	out := make(map[uint64]entry, 2*len(tab))
-	sc := d.scratch.Get().(*dpScratch)
-	s1, parent := sc.sig, sc.parent
+	out, parent := sc.idx, sc.parent
 	maxSp := h
 	if d.noZeroRegions {
 		maxSp = 0
 	}
-	for k1, e1 := range tab {
-		d.codec.decode(k1, s1)
+	for i1 := range tab.rows {
+		k1, base := tab.rows[i1].key, tab.rows[i1].cost
+		if base > effBound {
+			break
+		}
+		s1 := tab.sig(i1, stride)
 		// j1 = deepest level at which the child edge is kept;
 		// sp = deepest level with a spontaneously opened region at v.
 		// Thresholds past the child's region depth are equivalent to the
 		// depth itself, and spontaneous prefixes swallowed by the kept
 		// child region (sp ≤ j1) duplicate sp = 0 — see regionDepth.
-		m1 := regionDepth(s1)
+		m1 := tab.depth[i1]
 		for j1 := 0; j1 <= m1; j1++ {
 			for sp := 0; sp <= maxSp; {
 				if j1 == m1 && sp == 0 {
@@ -540,7 +502,7 @@ func (d *dpRun) oneChildTable(c1 int, tab map[uint64]entry, effBound float64) ma
 					// region leaves the signature unchanged at zero cost
 					// (every level either merges or stays empty) — reuse
 					// the child's key instead of re-encoding.
-					putEntry(out, k1, entry{cost: e1.cost, s1: k1, j1: int8(m1), kind: 1})
+					putEntry(out, k1, entry{cost: base, s1: k1, j1: int8(m1), kind: 1})
 					sp = j1 + 1
 					continue
 				}
@@ -549,9 +511,9 @@ func (d *dpRun) oneChildTable(c1 int, tab map[uint64]entry, effBound float64) ma
 				// (ties kept): merge increments are never negative and the
 				// futureMin term is admissible, so they cannot complete
 				// under the incumbent. +Inf ceiling keeps all.
-				if ok && e1.cost+cost <= effBound {
+				if ok && base+cost <= effBound {
 					putEntry(out, d.codec.encode(parent), entry{
-						cost: e1.cost + cost,
+						cost: base + cost,
 						s1:   k1, j1: int8(j1), kind: 1,
 					})
 				}
@@ -563,32 +525,45 @@ func (d *dpRun) oneChildTable(c1 int, tab map[uint64]entry, effBound float64) ma
 			}
 		}
 	}
-	d.scratch.Put(sc)
-	return out
 }
 
-// crossInto merges rows [lo, hi) of child table t1 against all of t2,
-// writing parent entries into out. The scheduler shards large nodes by
-// splitting the [0, len(t1.keys)) row range across workers; the row
-// partition never changes the merged result because putEntry keeps a
-// total-order minimum per key.
-func (d *dpRun) crossInto(out map[uint64]entry, t1 *decTab, w1 float64, lo, hi int, t2 *decTab, w2 float64, effBound float64) {
+// crossInto merges rows start, start+step, start+2·step, … of child
+// table t1 against all of t2, writing parent entries into the build
+// index sc.idx. Both tables are cost-sorted and merge increments are
+// never negative (and float addition is monotone), so a row's partner
+// scan stops at the first c1 + c2 above the ceiling, and the row scan
+// ends once even t2's cheapest row overshoots: every skipped candidate
+// is one the ceiling filter would drop. The scheduler shards a large
+// node by dealing t1's rows round-robin (step = shard count), so every
+// shard gets a share of the cheap rows that survive the ceiling; the
+// row partition never changes the merged result because putEntry keeps
+// a total-order minimum per key.
+func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step int, t2 *dpTable, w2 float64, effBound float64) {
+	if len(t2.rows) == 0 {
+		return
+	}
 	h := d.h
 	stride := h + 1
 	maxSp := h
 	if d.noZeroRegions {
 		maxSp = 0
 	}
-	sc := d.scratch.Get().(*dpScratch)
-	parent := sc.parent
-	for i1 := lo; i1 < hi; i1++ {
-		s1 := t1.sigs[i1*stride : (i1+1)*stride]
-		k1, c1 := t1.keys[i1], t1.costs[i1]
+	out, parent := sc.idx, sc.parent
+	min2 := t2.rows[0].cost
+	for i1 := start; i1 < len(t1.rows); i1 += step {
+		k1, c1 := t1.rows[i1].key, t1.rows[i1].cost
+		if c1+min2 > effBound {
+			break
+		}
+		s1 := t1.sig(i1, stride)
 		m1 := t1.depth[i1]
-		for i2 := range t2.keys {
-			s2 := t2.sigs[i2*stride : (i2+1)*stride]
-			base := c1 + t2.costs[i2]
-			k2 := t2.keys[i2]
+		for i2 := range t2.rows {
+			base := c1 + t2.rows[i2].cost
+			if base > effBound {
+				break
+			}
+			s2 := t2.sig(i2, stride)
+			k2 := t2.rows[i2].key
 			m2 := t2.depth[i2]
 			// Cut thresholds past each child's region depth duplicate the
 			// depth itself, and spontaneous prefixes swallowed by the kept
@@ -620,7 +595,6 @@ func (d *dpRun) crossInto(out map[uint64]entry, t1 *decTab, w1 float64, lo, hi i
 			}
 		}
 	}
-	d.scratch.Put(sc)
 }
 
 // mergeLevel derives the parent signature for the child states s1 (and
@@ -702,7 +676,7 @@ func (d *dpRun) mergeLevel(parent []int, w1 float64, s1 []int, j1, sp int, s2 []
 // reconstruct walks the backpointers from the root's best signature and
 // emits the laminar family of the optimal relaxed solution, with leaf
 // IDs of the binarized tree.
-func (d *dpRun) reconstruct(tabs []map[uint64]entry, rootKey uint64) *laminar.Family {
+func (d *dpRun) reconstruct(tabs []*dpTable, rootKey uint64) *laminar.Family {
 	fam := laminar.NewFamily(d.h)
 	close := func(level int, set []int) {
 		if len(set) == 0 {
@@ -713,7 +687,7 @@ func (d *dpRun) reconstruct(tabs []map[uint64]entry, rootKey uint64) *laminar.Fa
 
 	var rec func(v int, key uint64) [][]int
 	rec = func(v int, key uint64) [][]int {
-		e, ok := tabs[v][key]
+		e, ok := tabs[v].lookup(key)
 		if !ok {
 			panic("hgpt: broken backpointer")
 		}

@@ -1,8 +1,10 @@
 package hgpt
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hierpart/internal/gen"
@@ -183,4 +185,89 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBoundedTable pins the bound-first merges to the exhaustive oracle
+// under a ceiling. The children's tables are built unbounded with
+// pruning off; then at every internal node the node's table is built
+// under eff = min + frac·(max − min) of its exhaustive table's costs,
+// and under +Inf, three ways:
+//
+//   - the production table;
+//   - round-robin shards (2 and 3 of them) folded together;
+//   - the exhaustive table filtered to cost ≤ eff.
+//
+// All three must be equal: the scans that stop at the first row above
+// the ceiling may skip only candidates the filter drops, and every
+// insertion (the one-child unchanged-signature fast path included) must
+// honour the ceiling.
+func FuzzBoundedTable(f *testing.F) {
+	for hi := range fuzzHierarchies {
+		for _, frac := range []float64{0, 0.5, 1} {
+			f.Add(int64(hi+1), uint8(hi), frac)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, hier uint8, frac float64) {
+		if math.IsNaN(frac) || math.IsInf(frac, 0) {
+			return
+		}
+		if frac = math.Abs(frac); frac > 1 {
+			frac = math.Mod(frac, 1)
+		}
+		tr := fuzzTree(rand.New(rand.NewSource(seed)), 8)
+		h := fuzzHierarchies[int(hier)%len(fuzzHierarchies)]
+		d, _, err := Solver{Eps: 0.5}.newRun(tr, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs, _, err := d.runTables(context.Background(), 1, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := d.h + 1
+		for _, v := range d.bt.PostOrder() {
+			if d.bt.IsLeaf(v) {
+				continue
+			}
+			ex := exhaustiveTable(d, v, tabs)
+			if len(ex.rows) == 0 {
+				continue
+			}
+			lo, hi := ex.rows[0].cost, ex.rows[len(ex.rows)-1].cost
+			for _, eff := range []float64{lo + frac*(hi-lo), math.Inf(1)} {
+				// Rows are cost-sorted, so the filtered oracle is a prefix.
+				n := 0
+				for n < len(ex.rows) && ex.rows[n].cost <= eff {
+					n++
+				}
+				want := &dpTable{rows: ex.rows[:n], sigs: ex.sigs[:n*stride], depth: ex.depth[:n]}
+				if got := d.table(v, tabs, eff); !reflect.DeepEqual(got, want) {
+					t.Fatalf("node %d (%d children), ceiling %v: table differs from filtered exhaustive table:\ngot  %v\nwant %v",
+						v, len(d.bt.Children(v)), eff, got.rows, want.rows)
+				}
+				kids := d.bt.Children(v)
+				if len(kids) != 2 {
+					continue
+				}
+				for _, shards := range []int{2, 3} {
+					if got := shardedTable(d, tabs, kids[0], kids[1], shards, eff); !reflect.DeepEqual(got, want) {
+						t.Fatalf("node %d, %d shards, ceiling %v: folded table differs from filtered exhaustive table:\ngot  %v\nwant %v",
+							v, shards, eff, got.rows, want.rows)
+					}
+				}
+			}
+		}
+	})
+}
+
+// shardedTable builds a two-child node's table the way the scheduler
+// shards it: shard i merges rows i, i+S, i+2S, … of c1's table into its
+// own build index under one shared ceiling, and the partials are folded.
+func shardedTable(d *dpRun, tabs []*dpTable, c1, c2, shards int, eff float64) *dpTable {
+	parts := make([]*dpScratch, shards)
+	for i := range parts {
+		parts[i] = d.scratch.Get().(*dpScratch)
+		d.crossInto(parts[i], tabs[c1], d.bt.EdgeWeight(c1), i, shards, tabs[c2], d.bt.EdgeWeight(c2), eff)
+	}
+	return d.fold(parts)
 }

@@ -103,7 +103,7 @@ func TestShardedCrossMatchesSequential(t *testing.T) {
 // retained one (cut thresholds past the region depth, spontaneous
 // prefixes swallowed by kept child regions); this oracle pins that
 // proof: both must build bit-identical tables.
-func exhaustiveTable(d *dpRun, v int, tabs []map[uint64]entry) map[uint64]entry {
+func exhaustiveTable(d *dpRun, v int, tabs []*dpTable) *dpTable {
 	h := d.h
 	if d.bt.IsLeaf(v) {
 		return d.table(v, tabs, d.loadBound())
@@ -113,13 +113,15 @@ func exhaustiveTable(d *dpRun, v int, tabs []map[uint64]entry) map[uint64]entry 
 		maxSp = 0
 	}
 	parent := make([]int, h+1)
-	out := map[uint64]entry{}
+	sc := d.scratch.Get().(*dpScratch)
+	out := sc.idx
 	kids := d.bt.Children(v)
 	if len(kids) == 1 {
 		c1 := kids[0]
 		w1 := d.bt.EdgeWeight(c1)
 		s1 := make([]int, h+1)
-		for k1, e1 := range tabs[c1] {
+		for _, r1 := range tabs[c1].rows {
+			k1, e1 := r1.key, r1.entry
 			d.codec.decode(k1, s1)
 			for j1 := 0; j1 <= h; j1++ {
 				for sp := 0; sp <= maxSp; sp++ {
@@ -133,14 +135,16 @@ func exhaustiveTable(d *dpRun, v int, tabs []map[uint64]entry) map[uint64]entry 
 				}
 			}
 		}
-		return out
+		return d.freeze(sc)
 	}
 	c1, c2 := kids[0], kids[1]
 	w1, w2 := d.bt.EdgeWeight(c1), d.bt.EdgeWeight(c2)
 	s1, s2 := make([]int, h+1), make([]int, h+1)
-	for k1, e1 := range tabs[c1] {
+	for _, r1 := range tabs[c1].rows {
+		k1, e1 := r1.key, r1.entry
 		d.codec.decode(k1, s1)
-		for k2, e2 := range tabs[c2] {
+		for _, r2 := range tabs[c2].rows {
+			k2, e2 := r2.key, r2.entry
 			d.codec.decode(k2, s2)
 			for j1 := 0; j1 <= h; j1++ {
 				for j2 := 0; j2 <= h; j2++ {
@@ -158,7 +162,7 @@ func exhaustiveTable(d *dpRun, v int, tabs []map[uint64]entry) map[uint64]entry 
 			}
 		}
 	}
-	return out
+	return d.freeze(sc)
 }
 
 // TestReducedMergeMatchesExhaustive fuzzes the production merge loops
@@ -189,7 +193,7 @@ func TestReducedMergeMatchesExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			want := make([]map[uint64]entry, dRef.bt.N())
+			want := make([]*dpTable, dRef.bt.N())
 			for _, v := range dRef.bt.PostOrder() {
 				want[v] = exhaustiveTable(dRef, v, want)
 			}

@@ -28,7 +28,8 @@ type pruneRec struct {
 	cost float64
 }
 
-// prune removes dominated entries from tab in place.
+// prune removes dominated entries from a node's build index in place,
+// before freeze turns it into rows.
 func (d *dpRun) prune(tab map[uint64]entry) {
 	if len(tab) < 2 {
 		return

@@ -17,19 +17,20 @@ import (
 // Soundness: a node's table is a pure function of (the subtree below it
 // including child edge weights, the scaled leaf demands, and the run
 // parameters captured in the cache's run signature) whenever no
-// incumbent bound filters entries — bounds make tables depend on
-// cross-tree timing, so Solver.Reuse is ignored when Solver.Bound is
-// set. Reused tables are immutable: the solver never prunes or merges
-// into them, and counts their states exactly as a fresh run would, so a
-// warm solve is bit-identical to a cold solve over the same tree
-// (Solution fields, States, and MaxStates behavior included — the
-// oracle battery in reuse_test.go pins this).
+// incumbent bound filters entries. Bounds make tables depend on the
+// ceiling and, under a shared bound, on cross-tree timing, so a bounded
+// run (Solver.Bound set) is served cached tables but never writes its
+// own back (TestReuseUnderBound). Reused tables are immutable: the
+// solver never prunes or merges into them, and counts their states
+// exactly as a fresh run would, so a warm solve is bit-identical to a
+// cold solve over the same tree (Solution fields, States, and MaxStates
+// behavior included — the oracle battery in reuse_test.go pins this).
 //
 // A TableCache is owned by one solve at a time (the hgpd session store
 // serializes solves per session); it is not safe for concurrent use.
 type TableCache struct {
 	sig    string
-	tables map[string]map[uint64]entry
+	tables map[string]*dpTable
 }
 
 // NewTableCache returns an empty cache.
@@ -119,7 +120,7 @@ func (d *dpRun) attachReuse(c *TableCache, pruneOn bool) {
 
 // reuseLookup serves node v's table from the previous generation, if
 // present. A hit is immutable — callers must not prune or mutate it.
-func (d *dpRun) reuseLookup(v int) (map[uint64]entry, bool) {
+func (d *dpRun) reuseLookup(v int) (*dpTable, bool) {
 	if d.reuseTabs == nil {
 		return nil, false
 	}
@@ -134,9 +135,9 @@ func (d *dpRun) reuseLookup(v int) (map[uint64]entry, bool) {
 // Identical subtrees within one tree share a hash; their tables are
 // bit-identical (same deterministic function of the same inputs), so
 // either copy serves.
-func (c *TableCache) repopulate(d *dpRun, tabs []map[uint64]entry) {
+func (c *TableCache) repopulate(d *dpRun, tabs []*dpTable) {
 	c.sig = d.reuseSig
-	c.tables = make(map[string]map[uint64]entry, len(tabs))
+	c.tables = make(map[string]*dpTable, len(tabs))
 	for v, tab := range tabs {
 		c.tables[d.hashes[v]] = tab
 	}

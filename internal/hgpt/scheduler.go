@@ -18,15 +18,21 @@ import (
 // unfinished children, leaves start ready, and a node is enqueued the
 // moment its last child completes. On top of that, the cross-product
 // merge at a large two-child node (the O(|tab(c1)|·|tab(c2)|·h²) hot
-// spot) is sharded by rows of the first child's table into per-worker
-// partial tables, folded back together with mergeTables.
+// spot) is sharded by dealing the first child's cost-sorted rows
+// round-robin into per-worker build indexes, folded back together by
+// fold. Round-robin rather than contiguous chunks: under a
+// ceiling only the cheap rows at the front of a table produce
+// candidates, and contiguous chunks would hand every one of them to
+// shard 0.
 //
 // Determinism: a table's content is the per-key minimum of merge
 // candidates under the strict total order (cost, s1, s2, j1, j2), and
 // both sibling interleaving and row sharding only change the order in
 // which candidates are examined — never the candidate set. Results are
 // therefore bit-identical at every worker count (asserted by
-// TestSolveWorkersBitIdentical and FuzzShardedCross-style batteries).
+// TestSolveWorkersBitIdentical, TestShardedCrossMatchesSequential and
+// FuzzBoundedTable, which also folds 2- and 3-way shards under a
+// ceiling).
 
 // shardMinPairs is the |tab(c1)|·|tab(c2)| pair count above which a
 // two-child merge is sharded across workers; below it the shard
@@ -36,12 +42,14 @@ var shardMinPairs = 2048
 
 // runTables computes the per-node DP tables of the binarized tree with
 // up to `workers` goroutines, returning the tables and the total state
-// count. workers ≤ 1 runs the plain sequential post-order walk.
+// count. workers ≤ 1 runs the plain sequential post-order walk. pruneOn
+// is recorded on the run: every table it freezes is dominance-pruned.
 // Cancellation is polled once per completed table (and per shard under
 // the scheduler): the granularity of one node's merge.
-func (d *dpRun) runTables(ctx context.Context, workers, maxStates int, pruneOn bool) ([]map[uint64]entry, int, error) {
+func (d *dpRun) runTables(ctx context.Context, workers, maxStates int, pruneOn bool) ([]*dpTable, int, error) {
+	d.pruneOn = pruneOn
 	if workers <= 1 {
-		tabs := make([]map[uint64]entry, d.bt.N())
+		tabs := make([]*dpTable, d.bt.N())
 		states := 0
 		// futureMin bookkeeping (see the invariant note below): the sum of
 		// minimum entry costs over completed-but-unmerged tables, and the
@@ -57,61 +65,38 @@ func (d *dpRun) runTables(ctx context.Context, workers, maxStates int, pruneOn b
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
+			childSum := 0.0
+			if mins != nil {
+				for _, c := range d.bt.Children(v) {
+					childSum += mins[c]
+				}
+			}
 			// Warm-cache hit: the previous generation's table is served
 			// verbatim (already pruned; never mutated). Under a bound the
 			// futureMin bookkeeping still runs: a reused table is the full
 			// unbounded table for its subtree, so its minimum is the same
 			// admissible lower bound a fresh computation would yield.
-			if tab, ok := d.reuseLookup(v); ok {
-				tabs[v] = tab
-				if mins != nil {
-					m := tabMinCost(tab)
-					childSum := 0.0
-					for _, c := range d.bt.Children(v) {
-						childSum += mins[c]
-					}
-					mins[v] = m
-					pendSum += m - childSum
+			tab, reused := d.reuseLookup(v)
+			if !reused {
+				// Live bound: re-read the incumbent once per table, so a
+				// bound shared with concurrent trees bites from the next
+				// table on.
+				effBound := d.loadBound() - (pendSum - childSum)
+				var err error
+				if tab, err = d.safeTable(ctx, v, tabs, effBound); err != nil {
+					return nil, 0, err
 				}
-				done++
-				states += len(tab)
-				if maxStates > 0 && states > maxStates {
-					return nil, 0, budgetErr(states, maxStates)
+				if len(tab.rows) == 0 && !math.IsInf(effBound, 1) {
+					return nil, 0, d.boundErr(done)
 				}
-				continue
-			}
-			// Live bound: re-read the incumbent once per table, so a bound
-			// shared with concurrent trees bites from the next table on.
-			effBound := d.loadBound()
-			if mins != nil {
-				childSum := 0.0
-				for _, c := range d.bt.Children(v) {
-					childSum += mins[c]
-				}
-				effBound -= pendSum - childSum
-			}
-			tab, err := d.safeTable(ctx, v, tabs, effBound)
-			if err != nil {
-				return nil, 0, err
 			}
 			tabs[v] = tab
-			if pruneOn {
-				d.prune(tabs[v])
-			}
-			if len(tabs[v]) == 0 && !math.IsInf(effBound, 1) {
-				return nil, 0, d.boundErr(done)
-			}
 			if mins != nil {
-				m := tabMinCost(tab)
-				childSum := 0.0
-				for _, c := range d.bt.Children(v) {
-					childSum += mins[c]
-				}
-				mins[v] = m
-				pendSum += m - childSum
+				mins[v] = tab.minCost()
+				pendSum += mins[v] - childSum
 			}
 			done++
-			states += len(tabs[v])
+			states += len(tab.rows)
 			if maxStates > 0 && states > maxStates {
 				return nil, 0, budgetErr(states, maxStates)
 			}
@@ -123,12 +108,11 @@ func (d *dpRun) runTables(ctx context.Context, workers, maxStates int, pruneOn b
 	s := &tableSched{
 		d:         d,
 		ctx:       ctx,
-		tabs:      make([]map[uint64]entry, n),
+		tabs:      make([]*dpTable, n),
 		pending:   make([]int, n),
 		remaining: n,
 		workers:   workers,
 		maxStates: maxStates,
-		pruneOn:   pruneOn,
 	}
 	if d.hasBound() {
 		s.mins = make([]float64, n)
@@ -169,7 +153,7 @@ func budgetErr(states, maxStates int) error {
 // becomes an error instead of unwinding the caller — under the
 // concurrent scheduler that caller is a worker goroutine whose unwind
 // would kill the whole process.
-func (d *dpRun) safeTable(ctx context.Context, v int, tabs []map[uint64]entry, effBound float64) (tab map[uint64]entry, err error) {
+func (d *dpRun) safeTable(ctx context.Context, v int, tabs []*dpTable, effBound float64) (tab *dpTable, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("hgpt: panic computing table for node %d: %v", v, r)
@@ -187,10 +171,9 @@ func (d *dpRun) safeTable(ctx context.Context, v int, tabs []map[uint64]entry, e
 type tableSched struct {
 	d         *dpRun
 	ctx       context.Context
-	tabs      []map[uint64]entry
+	tabs      []*dpTable
 	workers   int
 	maxStates int
-	pruneOn   bool
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -255,17 +238,6 @@ type tableSched struct {
 	// deterministic pruned set from fact 1 + the static-bound iff above.
 	pendSum float64
 	mins    []float64
-}
-
-// tabMinCost returns the minimum entry cost of a table (+Inf if empty).
-func tabMinCost(tab map[uint64]entry) float64 {
-	m := math.Inf(1)
-	for _, e := range tab {
-		if e.cost < m {
-			m = e.cost
-		}
-	}
-	return m
 }
 
 // effBoundFor snapshots node v's entry ceiling: the live incumbent
@@ -369,14 +341,14 @@ func (s *tableSched) nodeTask(v int) func() {
 		}
 		d := s.d
 		// Warm-cache hit: serve the previous generation's table verbatim
-		// (already pruned, immutable — complete must not re-prune it).
+		// (already pruned, immutable).
 		if tab, ok := d.reuseLookup(v); ok {
-			s.complete(v, tab, math.Inf(1), true)
+			s.complete(v, tab, math.Inf(1))
 			return
 		}
 		kids := d.bt.Children(v)
 		if len(kids) == 2 {
-			pairs := len(s.tabs[kids[0]]) * len(s.tabs[kids[1]])
+			pairs := len(s.tabs[kids[0]].rows) * len(s.tabs[kids[1]].rows)
 			if pairs >= shardMinPairs {
 				s.shardNode(v, kids[0], kids[1])
 				return
@@ -388,36 +360,30 @@ func (s *tableSched) nodeTask(v int) func() {
 			s.fail(err)
 			return
 		}
-		s.complete(v, tab, eff, false)
+		s.complete(v, tab, eff)
 	}
 }
 
-// shardNode splits the rows of c1's decoded table into one chunk per
-// worker and enqueues a shard task per chunk. Each shard merges its row
-// range into a private partial table; the last shard to finish folds
-// the partials together and completes the node.
+// shardNode deals the rows of c1's table round-robin across one shard
+// task per worker: shard i merges rows i, i+S, i+2S, … into a private
+// build index. The last shard to finish folds the partials together,
+// freezes the node's table and completes the node.
 func (s *tableSched) shardNode(v, c1, c2 int) {
 	d := s.d
-	t1, t2 := d.decodeTab(s.tabs[c1]), d.decodeTab(s.tabs[c2])
+	t1, t2 := s.tabs[c1], s.tabs[c2]
 	w1, w2 := d.bt.EdgeWeight(c1), d.bt.EdgeWeight(c2)
 	// One ceiling snapshot for all shards of v: every candidate of a
 	// signature slot must see the same ceiling (see the invariant note).
 	effBound := s.effBoundFor(v)
 	shards := s.workers
-	if shards > len(t1.keys) {
-		shards = len(t1.keys)
+	if shards > len(t1.rows) {
+		shards = len(t1.rows)
 	}
-	partials := make([]map[uint64]entry, shards)
+	partials := make([]*dpScratch, shards)
 	left := int32(shards)
-	chunk := (len(t1.keys) + shards - 1) / shards
 	tasks := make([]func(), 0, shards)
 	for i := 0; i < shards; i++ {
 		i := i
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(t1.keys) {
-			hi = len(t1.keys)
-		}
 		tasks = append(tasks, func() {
 			if s.cancelled() {
 				return
@@ -426,37 +392,28 @@ func (s *tableSched) shardNode(v, c1, c2 int) {
 				s.fail(err)
 				return
 			}
-			out := make(map[uint64]entry, presize(hi-lo, len(t2.keys)))
-			d.crossInto(out, t1, w1, lo, hi, t2, w2, effBound)
-			partials[i] = out
+			sc := d.scratch.Get().(*dpScratch)
+			d.crossInto(sc, t1, w1, i, shards, t2, w2, effBound)
+			partials[i] = sc
 			if atomic.AddInt32(&left, -1) == 0 {
-				final := partials[0]
-				for _, p := range partials[1:] {
-					mergeTables(final, p)
-				}
-				s.complete(v, final, effBound, false)
+				s.complete(v, d.fold(partials), effBound)
 			}
 		})
 	}
 	s.enqueue(tasks...)
 }
 
-// complete prunes and records node v's finished table, propagates the
-// dependency count to the parent, and stops the pool on completion or
-// on a tripped state budget. eff is the ceiling v's table was filtered
-// under (the effBoundFor snapshot), needed to classify an empty table.
-// reused tables arrive already pruned and are shared with the cache —
-// they must not be pruned (mutated) again.
-func (s *tableSched) complete(v int, tab map[uint64]entry, eff float64, reused bool) {
-	if s.pruneOn && !reused {
-		s.d.prune(tab)
-	}
+// complete records node v's finished table, propagates the dependency
+// count to the parent, and stops the pool on completion or on a tripped
+// state budget. eff is the ceiling v's table was filtered under (the
+// effBoundFor snapshot), needed to classify an empty table.
+func (s *tableSched) complete(v int, tab *dpTable, eff float64) {
 	// An empty table under a finite ceiling means every partial for this
 	// subtree costs strictly more than the incumbent; nothing downstream
 	// can recover, so the whole run aborts. An empty table under a +Inf
 	// ceiling (bound attached but never tightened) is genuine
 	// infeasibility and falls through to the root's no-solution error.
-	if len(tab) == 0 && !math.IsInf(eff, 1) {
+	if len(tab.rows) == 0 && !math.IsInf(eff, 1) {
 		s.mu.Lock()
 		done := s.d.bt.N() - s.remaining
 		s.mu.Unlock()
@@ -470,7 +427,7 @@ func (s *tableSched) complete(v int, tab map[uint64]entry, eff float64, reused b
 	}
 	s.tabs[v] = tab
 	if s.mins != nil {
-		m := tabMinCost(tab)
+		m := tab.minCost()
 		childSum := 0.0
 		for _, c := range s.d.bt.Children(v) {
 			childSum += s.mins[c]
@@ -478,7 +435,7 @@ func (s *tableSched) complete(v int, tab map[uint64]entry, eff float64, reused b
 		s.mins[v] = m
 		s.pendSum += m - childSum
 	}
-	s.states += len(tab)
+	s.states += len(tab.rows)
 	if s.maxStates > 0 && s.states > s.maxStates {
 		s.err = budgetErr(s.states, s.maxStates)
 		s.stop = true

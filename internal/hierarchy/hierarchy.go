@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Hierarchy is an immutable regular hierarchy tree. Construct with New
@@ -18,8 +19,10 @@ type Hierarchy struct {
 }
 
 // New builds a hierarchy with the given per-level degrees and cost
-// multipliers. len(cm) must be len(deg)+1 and cm must be non-increasing;
-// every degree must be at least 1 and cost multipliers non-negative.
+// multipliers. len(cm) must be len(deg)+1 and cm must be finite and
+// non-increasing; every degree must be at least 1 and cost multipliers
+// non-negative. The tree DP's cost ceilings rest on a finite per-level
+// increment Δ(j) = (cm(j−1)−cm(j))/2 ≥ 0.
 func New(deg []int, cm []float64) (*Hierarchy, error) {
 	h := len(deg)
 	if h == 0 {
@@ -31,6 +34,11 @@ func New(deg []int, cm []float64) (*Hierarchy, error) {
 	for j, d := range deg {
 		if d < 1 {
 			return nil, fmt.Errorf("hierarchy: DEG(%d) = %d, must be ≥ 1", j, d)
+		}
+	}
+	for j, c := range cm {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("hierarchy: cm(%d) = %v, must be finite", j, c)
 		}
 	}
 	for j := 0; j < h; j++ {

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,6 +23,9 @@ func TestNewValidation(t *testing.T) {
 		{"negative cm", []int{2}, []float64{-1, -2}, "non-negative"},
 		{"negative last cm", []int{2}, []float64{1, -1}, "non-negative"},
 		{"zero degree", []int{2, 0}, []float64{2, 1, 0}, "must be ≥ 1"},
+		{"NaN cm", []int{2}, []float64{math.NaN(), 0}, "cm(0) = NaN, must be finite"},
+		{"infinite cm", []int{2}, []float64{math.Inf(1), 0}, "cm(0) = +Inf, must be finite"},
+		{"infinite cms", []int{2}, []float64{math.Inf(1), math.Inf(1)}, "cm(0) = +Inf, must be finite"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
