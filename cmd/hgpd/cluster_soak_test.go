@@ -161,6 +161,20 @@ func TestClusterFailoverSoak(t *testing.T) {
 		"-strict", "-slo-success", "0.99",
 	})
 	time.Sleep(phase / 3)
+	// The rejoin check below probes a key that must still be in node
+	// 0's snapshot when it dies. The snapshot keeps only the newest
+	// -cache (128) entries and the zipf load lands fresh entries on
+	// node 0 at a rate set by solver speed, so a key primed before this
+	// load can already be pruned at the kill. Build the probe key on
+	// node 0 now, mid-load (no_degrade: only the full pipeline answers,
+	// so the decomposition is cached and staged before the response),
+	// and wait until it is on disk.
+	probeSeed := int64(sharedSeeds + extraSeeds + 1)
+	probe := loadBodyWith(probeSeed, map[string]any{"no_degrade": true})
+	if rec := postJSON(t, nodes[0].base+"/v1/partition", probe); rec.status != http.StatusOK {
+		t.Fatalf("probe seed %d on node 0: %d (%s)", probeSeed, rec.status, rec.body)
+	}
+	waitFlushedAfter(t, nodes[0].base, time.Now())
 	if err := nodes[0].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +209,7 @@ func TestClusterFailoverSoak(t *testing.T) {
 	if st.gauge("snapshot_warm_entries") < 1 {
 		t.Fatalf("restarted node loaded %d warm entries, want >= 1", st.gauge("snapshot_warm_entries"))
 	}
-	rec := postJSON(t, nodes[0].base+"/v1/partition", loadBodyEps(1, 0.25))
+	rec := postJSON(t, nodes[0].base+"/v1/partition", loadBodyWith(probeSeed, map[string]any{"eps": 0.25}))
 	if rec.status != http.StatusOK {
 		t.Fatalf("repeat request after rejoin: %d (%s)", rec.status, rec.body)
 	}
@@ -233,15 +247,18 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 }
 
-// loadBodyEps is loadBody with an explicit eps, for steering a request
-// past the result caches (eps fragments the result key) while keeping
-// its decomposition identity.
-func loadBodyEps(seed int64, eps float64) []byte {
+// loadBodyWith is loadBody with the given top-level fields set, for
+// example an explicit eps, which steers a request past the result
+// caches (eps fragments the result key) while keeping its
+// decomposition identity.
+func loadBodyWith(seed int64, fields map[string]any) []byte {
 	var m map[string]any
 	if err := json.Unmarshal(loadBody(seed), &m); err != nil {
 		panic(err)
 	}
-	m["eps"] = eps
+	for k, v := range fields {
+		m[k] = v
+	}
 	raw, err := json.Marshal(m)
 	if err != nil {
 		panic(err)
@@ -296,6 +313,27 @@ func waitPushesSettled(t *testing.T, base string) {
 	waitStat(t, base, 10*time.Second, func(st soakStats) bool {
 		return st.gauge("peer_push_inflight") == 0
 	})
+}
+
+// waitFlushedAfter blocks until base's snapshot flusher has written
+// every entry staged before since. Flushes run one at a time and take
+// their batch when they start, so the second flush to complete after
+// since will do. Completion times are read back from
+// last_flush_age_seconds, late by the stats round trip, so each must
+// clear the previous reference by a margin (half the soak's 50ms
+// snapshot interval) that no two reads of one flush can span.
+func waitFlushedAfter(t *testing.T, base string, since time.Time) {
+	t.Helper()
+	const margin = 25 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		var flushed time.Time
+		waitStat(t, base, 10*time.Second, func(st soakStats) bool {
+			age := st.Snapshots.LastFlushAgeSecs
+			flushed = time.Now().Add(-time.Duration(age * float64(time.Second)))
+			return age > 0 && flushed.After(since.Add(margin))
+		})
+		since = flushed
+	}
 }
 
 func peerHealthyOn(st soakStats, peer string) bool {

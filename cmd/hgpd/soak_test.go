@@ -302,6 +302,9 @@ type soakStats struct {
 		} `json:"peers"`
 		FetchHits int64 `json:"fetch_hits"`
 	} `json:"cluster"`
+	Snapshots struct {
+		LastFlushAgeSecs float64 `json:"last_flush_age_seconds"`
+	} `json:"snapshots"`
 }
 
 func (st soakStats) counter(name string) int64 { return st.Metrics.Counters[name] }

@@ -325,11 +325,18 @@ type dpRun struct {
 
 // dpScratch is one borrower's working set. idx is the build index of
 // the node being merged: a map from signature key to its best entry so
-// far, frozen into a dpTable (and cleared) when the node completes.
+// far, frozen into a dpTable (and cleared) when the node completes. The
+// remaining buffers are freeze's and prune's (see prune.go): the
+// collected rows, their sort records, and one run's compressed second
+// demands and Fenwick tree.
 type dpScratch struct {
 	sig    []int
 	parent []int
 	idx    map[uint64]entry
+	rows   []tableRow
+	recs   []pruneRec
+	ys     []uint64
+	fw     minFenwick
 }
 
 // newRun scales the instance and assembles the immutable DP context

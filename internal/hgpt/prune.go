@@ -1,7 +1,9 @@
 package hgpt
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 )
 
 // Dominance pruning. Within a table, an entry A is dominated by B when
@@ -15,174 +17,172 @@ import (
 // (experiment E20 measures the effect, and the brute-force batteries of
 // internal/exact pin the exactness).
 //
-// Pruning is exact per class-pattern group: a prefix-minimum sweep for
-// one demand dimension, a Fenwick-tree sweep for two, and the
-// two-dimensional sweep within equal-third-demand buckets for three or
-// more (sound but partial beyond two dimensions).
+// Pruning is one sort and one sweep over the collected rows. Rows sort
+// by (class pattern, bucket, d0, d1), where d0 and d1 are the first two
+// demands and the bucket packs the demands beyond them; each (pattern,
+// bucket) run is then swept in that order. One demand dimension needs a
+// running minimum, two or more a prefix-minimum Fenwick tree over d1.
+// This is exact for up to two dimensions and sound but partial beyond:
+// only rows in equal buckets are compared. FuzzPruneMatchesOracle pins
+// the sweep to the pairwise definition.
 
-// pruneRec is one table entry in pruning form: its key, the demands of
-// its demand-carrying levels, and its cost.
+// pruneRec is one row in pruning form. dems packs the row's demands so
+// that, within one pattern, comparing dems compares (bucket, d0, d1):
+// the bucket, then d0, then d1, each in the codec's bit width. With one
+// dimension dems is d0 alone.
 type pruneRec struct {
-	key  uint64
-	dems []int
-	cost float64
+	pat  uint64 // class per level, base 3: 0 none, 1 zero-demand, 2 demand
+	dems uint64
+	row  int32 // index into the rows being pruned
+	dims int32 // demand-carrying levels
 }
 
-// prune removes dominated entries from a node's build index in place,
-// before freeze turns it into rows.
-func (d *dpRun) prune(tab map[uint64]entry) {
-	if len(tab) < 2 {
-		return
-	}
-	groups := map[uint64][]pruneRec{}
-	sc := d.scratch.Get().(*dpScratch)
+// prune returns the rows no other row dominates, in a new slice of
+// exactly their length: the finished table's backing array, so a table
+// never carries the capacity of its unpruned rows. rows is left as is.
+func (d *dpRun) prune(sc *dpScratch, rows []tableRow) []tableRow {
+	bits := d.codec.bits
+	recs := sc.recs[:0]
 	sig := sc.sig
-	// One backing array for every record's demand vector: at most h
-	// demand-carrying levels per entry, so the capacity below is exact
-	// and append never reallocates (keeping earlier sub-slices valid).
-	backing := make([]int, 0, d.h*len(tab))
-	for k, e := range tab {
-		d.codec.decode(k, sig)
-		// Class pattern: 0 = none, 1 = zero-demand region, 2 = demand.
-		var pat uint64
-		start := len(backing)
+	for i := range rows {
+		d.codec.decode(rows[i].key, sig)
+		var pat, bucket, d0, d1 uint64
+		var dims int32
 		for j := 1; j <= d.h; j++ {
-			switch {
-			case sig[j] == 0:
-				pat = pat*3 + 0
-			case sig[j] == 1:
-				pat = pat*3 + 1
+			x := uint64(sig[j])
+			if x < 2 {
+				pat = pat*3 + x
+				continue
+			}
+			pat = pat*3 + 2
+			switch dims {
+			case 0:
+				d0 = x
+			case 1:
+				d1 = x
 			default:
-				pat = pat*3 + 2
-				backing = append(backing, sig[j])
+				bucket = bucket<<bits | x
 			}
+			dims++
 		}
-		groups[pat] = append(groups[pat], pruneRec{key: k, dems: backing[start:len(backing):len(backing)], cost: e.cost})
+		dems := d0
+		if dims >= 2 {
+			dems = bucket<<(2*bits) | d0<<bits | d1
+		}
+		recs = append(recs, pruneRec{pat: pat, dems: dems, row: int32(i), dims: dims})
 	}
-	d.scratch.Put(sc)
-
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
+	slices.SortFunc(recs, func(a, b pruneRec) int {
+		if c := cmp.Compare(a.pat, b.pat); c != 0 {
+			return c
 		}
-		dims := len(g[0].dems)
-		switch dims {
-		case 0:
-			// Identical signatures are unique per map; dims 0 means a
-			// single possible signature — nothing to prune.
-		case 1:
-			sort.Slice(g, func(a, b int) bool {
-				if g[a].dems[0] != g[b].dems[0] {
-					return g[a].dems[0] < g[b].dems[0]
-				}
-				return g[a].cost < g[b].cost
-			})
-			best := g[0].cost
-			for i := 1; i < len(g); i++ {
-				if g[i].cost >= best {
-					delete(tab, g[i].key)
-				} else {
-					best = g[i].cost
-				}
-			}
-		default:
-			// Bucket by the demands beyond the first two (equal-bucket
-			// dominance only — sound, partial), then 2-D sweep on
-			// (dems[0], dems[1]) with a Fenwick prefix-min over dems[1].
-			// Demands fit the signature codec's per-level bit width, so
-			// packing dems[2:] the same way yields a collision-free
-			// uint64 bucket key without string building.
-			buckets := map[uint64][]pruneRec{}
-			for _, r := range g {
-				var key uint64
-				for _, x := range r.dems[2:] {
-					key = key<<d.codec.bits | uint64(x)
-				}
-				buckets[key] = append(buckets[key], r)
-			}
-			for _, b := range buckets {
-				prune2D(tab, b)
-			}
-		}
-	}
-}
-
-// prune2D removes entries dominated in (dems[0], dems[1], cost).
-func prune2D(tab map[uint64]entry, g []pruneRec) {
-	if len(g) < 2 {
-		return
-	}
-	// Coordinate-compress the second dimension.
-	ys := make([]int, len(g))
-	for i, r := range g {
-		ys[i] = r.dems[1]
-	}
-	sort.Ints(ys)
-	ys = dedupInts(ys)
-	rank := func(y int) int { return sort.SearchInts(ys, y) }
-
-	fw := newMinFenwick(len(ys))
-	sort.Slice(g, func(a, b int) bool {
-		if g[a].dems[0] != g[b].dems[0] {
-			return g[a].dems[0] < g[b].dems[0]
-		}
-		if g[a].dems[1] != g[b].dems[1] {
-			return g[a].dems[1] < g[b].dems[1]
-		}
-		return g[a].cost < g[b].cost
+		return cmp.Compare(a.dems, b.dems)
 	})
-	for _, r := range g {
-		rk := rank(r.dems[1])
-		if fw.prefixMin(rk) <= r.cost {
-			delete(tab, r.key)
-			continue
-		}
-		fw.update(rk, r.cost)
-	}
-}
 
-func dedupInts(a []int) []int {
-	out := a[:0]
-	for i, x := range a {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
+	// Sweep each (pattern, bucket) run; a dropped row's record gets
+	// row = -1.
+	bucketOf := func(r pruneRec) uint64 {
+		if r.dims < 2 {
+			return 0
+		}
+		return r.dems >> (2 * bits)
+	}
+	kept := 0
+	for lo := 0; lo < len(recs); {
+		first := recs[lo]
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].pat == first.pat && bucketOf(recs[hi]) == bucketOf(first) {
+			hi++
+		}
+		if first.dims < 2 {
+			kept += pruneRun1D(recs[lo:hi], rows)
+		} else {
+			kept += d.pruneRun2D(sc, recs[lo:hi], rows)
+		}
+		lo = hi
+	}
+
+	out := make([]tableRow, 0, kept)
+	for _, r := range recs {
+		if r.row >= 0 {
+			out = append(out, rows[r.row])
 		}
 	}
+	sc.recs = recs[:0]
 	return out
 }
 
-// minFenwick supports prefix-minimum queries and point updates.
-type minFenwick struct {
-	n int
-	t []float64
-}
-
-func newMinFenwick(n int) *minFenwick {
-	t := make([]float64, n+1)
-	for i := range t {
-		t[i] = inf
+// pruneRun1D sweeps a run in d0 order with a running cost minimum: a
+// row is dominated exactly when an earlier row costs no more. It
+// returns the number of rows kept.
+func pruneRun1D(run []pruneRec, rows []tableRow) int {
+	best := math.Inf(1)
+	kept := 0
+	for i := range run {
+		c := rows[run[i].row].cost
+		if c >= best {
+			run[i].row = -1
+			continue
+		}
+		best = c
+		kept++
 	}
-	return &minFenwick{n: n, t: t}
+	return kept
 }
 
-const inf = 1e308
+// pruneRun2D sweeps a run in (d0, d1) order with a prefix-minimum
+// Fenwick tree over the coordinate-compressed d1 values: a row is
+// dominated exactly when an earlier row with d1 no larger costs no more.
+// A dominated row is not inserted (its dominator dominates everything
+// it would). It returns the number of rows kept.
+func (d *dpRun) pruneRun2D(sc *dpScratch, run []pruneRec, rows []tableRow) int {
+	mask := d.codec.mask
+	ys := sc.ys[:0]
+	for _, r := range run {
+		ys = append(ys, r.dems&mask)
+	}
+	slices.Sort(ys)
+	ys = slices.Compact(ys)
+	n := len(ys) + 1
+	fw := slices.Grow(sc.fw[:0], n)[:n]
+	for i := range fw {
+		fw[i] = math.Inf(1)
+	}
+	kept := 0
+	for i := range run {
+		rk, _ := slices.BinarySearch(ys, run[i].dems&mask)
+		c := rows[run[i].row].cost
+		if fw.prefixMin(rk) <= c {
+			run[i].row = -1
+			continue
+		}
+		fw.update(rk, c)
+		kept++
+	}
+	sc.ys, sc.fw = ys[:0], fw[:0]
+	return kept
+}
+
+// minFenwick is a Fenwick tree (1-based, f[0] unused) supporting
+// prefix-minimum queries and point updates. Empty prefixes read +Inf,
+// which no row cost reaches: putEntry refuses +Inf.
+type minFenwick []float64
 
 // update lowers the value at 0-based index i to at most v.
-func (f *minFenwick) update(i int, v float64) {
-	for i++; i <= f.n; i += i & (-i) {
-		if v < f.t[i] {
-			f.t[i] = v
+func (f minFenwick) update(i int, v float64) {
+	for i++; i < len(f); i += i & (-i) {
+		if v < f[i] {
+			f[i] = v
 		}
 	}
 }
 
 // prefixMin returns the minimum over indices [0, i] (0-based, inclusive).
-func (f *minFenwick) prefixMin(i int) float64 {
-	min := inf
+func (f minFenwick) prefixMin(i int) float64 {
+	m := math.Inf(1)
 	for i++; i > 0; i -= i & (-i) {
-		if f.t[i] < min {
-			min = f.t[i]
+		if f[i] < m {
+			m = f[i]
 		}
 	}
-	return min
+	return m
 }

@@ -69,27 +69,34 @@ func (d *dpRun) fold(shards []*dpScratch) *dpTable {
 	return d.freeze(shards[0])
 }
 
-// freeze turns the build index sc.idx into a finished table: dominance
-// pruning first (when on), then the surviving rows in (cost, key) order.
-// sc goes back to the pool with its index empty but its buckets grown,
-// so a run allocates its maps once rather than per table.
+// freeze turns the build index sc.idx into a finished table: the
+// entries are collected into sc's pooled row buffer, dominance-pruned
+// there (when on), and the survivors copied into a table of exactly
+// their length, in (cost, key) order. sc goes back to the pool with its
+// index empty but its buckets and buffers grown, so a run allocates its
+// working memory once rather than per table.
 func (d *dpRun) freeze(sc *dpScratch) *dpTable {
-	if d.pruneOn {
-		d.prune(sc.idx)
-	}
-	rows := make([]tableRow, 0, len(sc.idx))
+	rows := sc.rows[:0]
 	for k, e := range sc.idx {
 		rows = append(rows, tableRow{key: k, entry: e})
 	}
 	clear(sc.idx)
+	var out []tableRow
+	if d.pruneOn {
+		out = d.prune(sc, rows)
+	} else {
+		out = make([]tableRow, len(rows))
+		copy(out, rows)
+	}
+	sc.rows = rows[:0]
 	d.scratch.Put(sc)
-	slices.SortFunc(rows, func(a, b tableRow) int {
+	slices.SortFunc(out, func(a, b tableRow) int {
 		if c := cmp.Compare(a.cost, b.cost); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.key, b.key)
 	})
-	return d.newTable(rows)
+	return d.newTable(out)
 }
 
 // newTable decodes the signatures of rows, which must already be in

@@ -340,7 +340,7 @@ func repairOne(ctx context.Context, g *graph.Graph, old *DecompTree, ti int, dir
 			// exactly from the new graph instead.
 			w := old.T.EdgeWeight(c)
 			if wdirty[c] {
-				w = graphBoundary(g, subtreeVertices(old, c))
+				w = b.boundary(subtreeVertices(old, c))
 				stats.NodesReweighted++
 				if up := w - old.T.EdgeWeight(c); up > 0 {
 					stats.TreeReweightUp[ti] += up
@@ -390,16 +390,6 @@ func reweightPathNodes(old *DecompTree, reweightEdges [][2]int) map[int]bool {
 		}
 	}
 	return marked
-}
-
-// graphBoundary returns the exact total weight leaving the vertex set
-// in g (the tree edge weight contract checkDecompValid pins).
-func graphBoundary(g *graph.Graph, vs []int) float64 {
-	in := make([]bool, g.N())
-	for _, v := range vs {
-		in[v] = true
-	}
-	return g.CutWeight(func(v int) bool { return in[v] })
 }
 
 // dirtyRoots marks the minimal antichain of old-tree nodes whose
