@@ -20,7 +20,9 @@ import (
 // and one of the still-live followers takes over as the new leader.
 // Non-cancellation build errors are shared with every waiter: a build
 // that genuinely failed would fail identically N times, so the herd
-// has nothing to gain by retrying in lockstep.
+// has nothing to gain by retrying in lockstep. A build that panics
+// retires its call too: the waiters get ErrBuildPanicked and the panic
+// goes on up the leader's stack, so the key is free for the next call.
 //
 // The zero Group is ready to use.
 type Group struct {
@@ -29,6 +31,10 @@ type Group struct {
 
 	leads, coalesced, retries int64
 }
+
+// ErrBuildPanicked is what the waiters of a coalesced call get when the
+// leader's build panicked; the leader itself re-panics.
+var ErrBuildPanicked = errors.New("cache: the coalesced build panicked")
 
 type flightCall struct {
 	done chan struct{} // closed when the leader retires the call
@@ -77,23 +83,30 @@ func (g *Group) Do(ctx context.Context, key string, build func() (any, error)) (
 			}
 			return c.val, true, c.err
 		}
-		c := &flightCall{done: make(chan struct{})}
+		c := &flightCall{done: make(chan struct{}), err: ErrBuildPanicked}
 		g.calls[key] = c
 		g.leads++
 		g.mu.Unlock()
+		g.lead(ctx, key, c, build)
+		return c.val, false, c.err
+	}
+}
 
-		c.val, c.err = build()
-		if c.err != nil && ctx.Err() != nil &&
-			(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-			c.retry = true
-		}
-		// Retire the call before waking waiters so a retrying follower
-		// finds the slot empty and can lead immediately.
+// lead runs build for key's call and retires the call however build
+// ends, a panic included (c.err then stays ErrBuildPanicked for the
+// waiters). The call leaves the map before its waiters wake, so a
+// retrying follower finds the slot empty and can lead immediately.
+func (g *Group) lead(ctx context.Context, key string, c *flightCall, build func() (any, error)) {
+	defer func() {
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
 		close(c.done)
-		return c.val, false, c.err
+	}()
+	c.val, c.err = build()
+	if c.err != nil && ctx.Err() != nil &&
+		(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+		c.retry = true
 	}
 }
 

@@ -196,3 +196,47 @@ func TestGroupSharesRealErrors(t *testing.T) {
 		}
 	}
 }
+
+// A build that panics retires its call: the panic reaches the leader,
+// every waiter gets ErrBuildPanicked, and the next call for the key runs
+// a fresh build instead of waiting on the dead one.
+func TestGroupPanicRetiresCall(t *testing.T) {
+	var g Group
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _, _ = g.Do(ctx, "k", func() (any, error) {
+			<-release
+			panic("build bug")
+		})
+	}()
+	for g.Stats().Leads == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctx, "k", func() (any, error) { return "duplicate", nil })
+		waiterErr <- err
+	}()
+	for g.Stats().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	if r := <-leaderPanic; r != "build bug" {
+		t.Fatalf("leader recovered %v, want the build's panic", r)
+	}
+	if err := <-waiterErr; !errors.Is(err, ErrBuildPanicked) {
+		t.Fatalf("waiter err = %v, want ErrBuildPanicked", err)
+	}
+	v, shared, err := g.Do(ctx, "k", func() (any, error) { return "fresh", nil })
+	if err != nil || shared || v != "fresh" {
+		t.Fatalf("next call = (%v, shared %v, %v), want a fresh build", v, shared, err)
+	}
+	if st := g.Stats(); st.Leads != 2 || st.Coalesced != 1 {
+		t.Fatalf("stats = %+v, want 2 leads and 1 coalesced", st)
+	}
+}

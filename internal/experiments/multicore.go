@@ -14,34 +14,31 @@ import (
 )
 
 // e24Config is one cell of the E24 matrix: a worker budget crossed with
-// the pruning mode (off / incumbent bound with trees one at a time /
-// incumbent bound with trees racing under the shared atomic bound).
+// the pruning mode. The budget picks how pruned trees run: one worker
+// runs them one at a time, more race them under the shared atomic bound.
 type e24Config struct {
 	name    string
 	workers int
 	prune   bool
-	serial  bool // hgp.Solver.SequentialPortfolio
 }
 
 // E24MultiCoreMatrix is the multi-core bench matrix over the mixed
 // 8-tree E21 portfolio (2 bisection + 2 min-cut + 4 FRT, prebuilt once
-// per size so the matrix isolates the DP phase). Five configurations
-// per size — the full tree-parallel × node-parallel × prune cross that
+// per size so the matrix isolates the DP phase). Four configurations
+// per size — the tree-parallel × node-parallel × prune cross that
 // matters:
 //
 //	w=1 off      sequential baseline, no pruning
-//	w=1 on       sequential incumbent pruning (PR 5 behaviour)
-//	w=W off      full worker budget, no pruning (node parallelism only)
-//	w=W serial   full budget, pruning, trees one at a time (escape hatch)
+//	w=1 on       sequential incumbent pruning, trees one at a time
+//	w=W off      full worker budget, no pruning
 //	w=W racing   full budget, pruning, trees racing under the shared bound
 //
-// Repeats are interleaved across all five configurations to decorrelate
+// Repeats are interleaved across all four configurations to decorrelate
 // machine drift; medians are reported. "racing speedup" is w=1 on
 // divided by w=W racing (what the concurrent portfolio buys over the
-// best sequential mode); "racing vs serial" isolates the tree-parallel
-// gain from node parallelism. The placements are bit-identical across
-// every cell (the concurrent identity battery); only wall-clock and the
-// per-tree records differ. Numbers from a single-core host (see the
+// sequential mode). The placements are bit-identical across every cell
+// (the concurrent identity battery); only wall-clock and the per-tree
+// records differ. Numbers from a single-core host (see the
 // report's gomaxprocs/num_cpu fields) show the racing overhead floor,
 // not the scaling — CI's multi-core runner regenerates the real matrix.
 //
@@ -58,9 +55,8 @@ func E24MultiCoreMatrix(cfg Config) *Table {
 		ID: "E24",
 		Title: fmt.Sprintf("Multi-core portfolio matrix on the mixed 8-tree portfolio (W = %d, GOMAXPROCS = %d)",
 			w, runtime.GOMAXPROCS(0)),
-		Columns: []string{"n", "w=1 off", "w=1 on", "w=W off", "w=W serial", "w=W racing",
-			"racing speedup", "racing vs serial", "pruned"},
-		Notes: "expected on a multi-core host (W >= 4): racing speedup >= 1.5 at n=256 and racing <= serial; " +
+		Columns: []string{"n", "w=1 off", "w=1 on", "w=W off", "w=W racing", "racing speedup", "pruned"},
+		Notes: "expected on a multi-core host (W >= 4): racing speedup >= 1.5 at n=256; " +
 			"on a single core the racing column only shows the shared-bound overhead floor; " +
 			"placements are bit-identical in every cell, so only timing columns move",
 	}
@@ -68,7 +64,6 @@ func E24MultiCoreMatrix(cfg Config) *Table {
 		{name: "w1-off", workers: 1},
 		{name: "w1-on", workers: 1, prune: true},
 		{name: "wW-off", workers: w},
-		{name: "wW-on-serial", workers: w, prune: true, serial: true},
 		{name: "wW-on-racing", workers: w, prune: true},
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 52))
@@ -95,7 +90,6 @@ func E24MultiCoreMatrix(cfg Config) *Table {
 				sv := base
 				sv.Workers = c.workers
 				sv.Prune = c.prune
-				sv.SequentialPortfolio = c.serial
 				start := time.Now()
 				res, err := sv.SolveDecomposition(context.Background(), g, h, dec)
 				el := time.Since(start)
@@ -123,12 +117,10 @@ func E24MultiCoreMatrix(cfg Config) *Table {
 			med("w1-off").Round(time.Millisecond),
 			med("w1-on").Round(time.Millisecond),
 			med("wW-off").Round(time.Millisecond),
-			med("wW-on-serial").Round(time.Millisecond),
 			racing.Round(time.Millisecond),
 			metrics.Ratio(med("w1-on").Seconds(), racing.Seconds()),
-			metrics.Ratio(med("wW-on-serial").Seconds(), racing.Seconds()),
 			last["wW-on-racing"].TreesPruned)
-		for _, name := range []string{"wW-on-serial", "wW-on-racing"} {
+		for _, name := range []string{"w1-on", "wW-on-racing"} {
 			res := last[name]
 			for i, ts := range res.TreeStats {
 				t.Trees = append(t.Trees, TreeOutcome{

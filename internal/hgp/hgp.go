@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hierpart/internal/graph"
@@ -52,12 +53,6 @@ type Solver struct {
 	// (internal/anytime) that prefer a valid placement over an error.
 	// Completed (uncancelled) runs are unaffected and stay bit-identical.
 	AllowPartial bool
-	// OnIncumbent, when non-nil, is called (serialized, from solver
-	// goroutines) each time a tree DP completes and improves the best
-	// placement so far, with a snapshot of the current incumbent. The
-	// callback must not mutate the result or block for long — it runs
-	// inside the solve's critical path.
-	OnIncumbent func(*Result)
 	// Prune enables the incumbent-bounded portfolio (portfolio.go):
 	// trees are ordered by a cheap preview cost and run under a cost
 	// bound derived from the best mapped cost completed so far, so a
@@ -68,27 +63,16 @@ type Solver struct {
 	// (pinned by the on/off identity battery). Multi-tree solves only —
 	// with one tree there is nothing to prune.
 	//
-	// When Workers > 1 the pruned trees race CONCURRENTLY under a
-	// shared live bound and a deterministic post-hoc reduction restores
-	// the sequential outcome (see SequentialPortfolio), so completed
-	// results remain bit-identical at every worker count. One scoping
-	// note: the bit-identity contract assumes MaxStates is either zero
-	// or generous enough that no tree trips it mid-portfolio — state
-	// counts are schedule-dependent under an active bound, so WHICH
-	// tree exhausts a tight budget can differ between modes.
+	// The worker budget picks the mode: with Workers == 1 the trees run
+	// one at a time, and with more they race CONCURRENTLY under a shared
+	// live bound while a deterministic post-hoc reduction restores the
+	// one-at-a-time outcome, so completed results remain bit-identical
+	// at every worker count. One scoping note: the bit-identity contract
+	// assumes MaxStates is either zero or generous enough that no tree
+	// trips it mid-portfolio — state counts are schedule-dependent under
+	// an active bound, so WHICH tree exhausts a tight budget can differ
+	// between modes.
 	Prune bool
-	// SequentialPortfolio forces the pruned portfolio (Prune) to run
-	// trees one at a time even when Workers > 1 — the pre-concurrency
-	// behavior: full budget on node-level DP parallelism, each tree's
-	// bound a fresh static value computed from the completed prefix.
-	// Off (the default), the portfolio races trees under the tree×node
-	// worker split with a shared atomic incumbent bound that tightens
-	// mid-DP, then re-validates outcomes against the sequential bound
-	// (portfolio.go: reducePortfolio), so both settings return
-	// bit-identical results; the knob is the reference the
-	// reducePortfolio identity battery compares against and the serial
-	// column of the hgpbench E24 matrix. Ignored when Prune is off.
-	SequentialPortfolio bool
 	// TreeCaches, when non-nil, must hold one hgpt.TableCache per
 	// decomposition tree (len == len(dec.Trees)); each tree's DP then
 	// reuses the tables its cache recorded on the previous solve with
@@ -286,120 +270,89 @@ func (s Solver) SolveDecomposition(ctx context.Context, g *graph.Graph, H *hiera
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-
+	// The budget splits between the tree level and the node level inside
+	// each DP: treeWorkers × nodeWorkers ≤ budget, so the two layers of
+	// parallelism cannot oversubscribe.
+	treeWorkers := min(budget, len(dec.Trees))
 	outs := make([]treeOut, len(dec.Trees))
-
-	// Incumbent checkpointing (AllowPartial / OnIncumbent): the running
-	// best mapped placement over trees completed so far, so cancellation
-	// can surrender it instead of discarding finished work.
-	var incMu sync.Mutex
-	treesDone := 0
-	var incumbent *Result
-	record := func(ti int) {
-		if !s.AllowPartial && s.OnIncumbent == nil {
-			return
-		}
-		incMu.Lock()
-		defer incMu.Unlock()
-		o := &outs[ti]
-		treesDone++
-		if incumbent == nil || o.cost < incumbent.Cost ||
-			(o.cost == incumbent.Cost && ti < incumbent.TreeIndex) {
-			incumbent = &Result{
-				Assignment: o.assign,
-				Cost:       o.cost,
-				TreeCost:   o.treeCost,
-				TreeIndex:  ti,
-				Violation:  metrics.Violation(g, H, o.assign),
-				Partial:    true,
-				TreesDone:  treesDone,
-			}
-			if s.OnIncumbent != nil {
-				s.OnIncumbent(incumbent)
-			}
-		}
-	}
-
-	parallelTrees := 1
 	if s.Prune && len(dec.Trees) > 1 {
 		// Portfolio path (portfolio.go): best-preview-first trees under
-		// an incumbent bound. By default (Workers > 1) the trees race
-		// concurrently with a shared live bound and a deterministic
-		// post-hoc reduction; SequentialPortfolio (or a budget of 1)
-		// runs them one at a time with the full budget on node-level DP
-		// parallelism. Either way the result is bit-identical to the
-		// sequential pruned run.
-		parallelTrees = s.solvePortfolio(ctx, g, H, dec, outs, budget, record)
+		// an incumbent bound, raced when the budget allows more than one
+		// tree worker; either way the result is bit-identical to the
+		// one-at-a-time pruned run.
+		s.solvePortfolio(ctx, g, H, dec, outs, treeWorkers, budget)
 	} else {
-		// Solve the independent per-tree DPs concurrently; selection
-		// below is by fixed tree index, so results are deterministic
-		// regardless of completion order. The worker budget splits
-		// between the tree level and the node level inside each DP:
-		// treeWorkers × nodeWorkers ≤ budget, so the two layers of
-		// parallelism cannot oversubscribe.
-		treeWorkers := budget
-		if treeWorkers > len(dec.Trees) {
-			treeWorkers = len(dec.Trees)
-		}
+		// Independent per-tree DPs; selection below is by fixed tree
+		// index, so results are deterministic regardless of completion
+		// order.
 		nodeWorkers := budget / treeWorkers
-		parallelTrees = treeWorkers
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < treeWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ti := range work {
-					if err := ctx.Err(); err != nil {
-						outs[ti].err = err
-						continue
-					}
-					cache := s.treeCache(ti, len(dec.Trees))
-					bound := s.warmBound(ti, len(dec.Trees))
-					outs[ti] = s.solveTree(ctx, g, H, dec.Trees[ti], ti, nodeWorkers, bound, cache)
-					if bound != nil && errors.Is(outs[ti].err, hgpt.ErrBoundExceeded) {
-						// The caller's ceiling was below the tree's true
-						// optimum (a certified bound never is): fall back
-						// to the unbounded warm run — correctness is never
-						// bound-dependent.
-						outs[ti] = s.solveTree(ctx, g, H, dec.Trees[ti], ti, nodeWorkers, nil, cache)
-						outs[ti].boundFellBack = true
-					}
-					if outs[ti].err == nil {
-						record(ti)
-					}
-				}
-			}()
+		order := make([]int, len(dec.Trees))
+		for ti := range order {
+			order[ti] = ti
 		}
-		for ti := range dec.Trees {
-			work <- ti
-		}
-		close(work)
-		wg.Wait()
+		runTrees(ctx, outs, order, treeWorkers, func(ti int) treeOut {
+			cache := s.treeCache(ti, len(dec.Trees))
+			bound := s.warmBound(ti, len(dec.Trees))
+			o := s.solveTree(ctx, g, H, dec.Trees[ti], ti, nodeWorkers, bound, cache)
+			if bound != nil && errors.Is(o.err, hgpt.ErrBoundExceeded) {
+				// The caller's ceiling was below the tree's true optimum (a
+				// certified bound never is): fall back to the unbounded warm
+				// run — correctness is never bound-dependent.
+				o = s.solveTree(ctx, g, H, dec.Trees[ti], ti, nodeWorkers, nil, cache)
+				o.boundFellBack = true
+			}
+			return o
+		})
 	}
 
-	if err := ctx.Err(); err != nil {
+	res, err := s.gather(g, H, outs)
+	if cerr := ctx.Err(); cerr != nil {
 		// A cancelled run may have finished some trees. By default a
 		// partial minimum would make the result depend on timing, so
 		// cancellation surfaces as the context's error — unless the
 		// caller opted into anytime semantics, in which case the best
-		// incumbent (when one exists) is surrendered instead.
-		if s.AllowPartial {
-			if res, _ := s.gather(g, H, outs); res != nil {
-				res.Partial = true
-				res.ParallelTrees = parallelTrees
-				return res, nil
-			}
+		// completed tree (when one exists) is surrendered instead.
+		if !s.AllowPartial || res == nil {
+			return nil, fmt.Errorf("hgp: %w", cerr)
 		}
-		return nil, fmt.Errorf("hgp: %w", err)
+		res.Partial = true
+	} else if res == nil {
+		return nil, err
 	}
-
-	res, firstErr := s.gather(g, H, outs)
-	if res == nil {
-		return nil, firstErr
-	}
-	res.ParallelTrees = parallelTrees
+	res.ParallelTrees = treeWorkers
 	return res, nil
+}
+
+// afterTree, when non-nil, is called by runTrees with each tree's
+// outcome as soon as the tree is solved. It is nil outside package
+// tests, which set it to act at a deterministic point of a solve.
+var afterTree func(o *treeOut)
+
+// runTrees is the one tree dispatcher of the package: workers
+// goroutines take the trees in order and store solve(ti) in outs[ti].
+// A tree taken after ctx is done is never started; it records ctx's
+// error instead. With one worker the trees run one at a time, in order.
+func runTrees(ctx context.Context, outs []treeOut, order []int, workers int, solve func(ti int) treeOut) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(order)); i = next.Add(1) - 1 {
+				ti := order[i]
+				if err := ctx.Err(); err != nil {
+					outs[ti].err = err
+					continue
+				}
+				outs[ti] = solve(ti)
+				if afterTree != nil {
+					afterTree(&outs[ti])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 type treeOut struct {

@@ -15,9 +15,23 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// cancelAfterFirstTree makes the next solve cancel right after its
+// first tree is solved, checking that the tree completed. With one
+// worker the trees run in order, so at least one tree is guaranteed
+// done and the rest are guaranteed never started.
+func cancelAfterFirstTree(t *testing.T, cancel context.CancelFunc) {
+	afterTree = func(o *treeOut) {
+		if o.err != nil {
+			t.Errorf("first tree = %v, want a completed tree before the cancel", o.err)
+		}
+		cancel()
+	}
+	t.Cleanup(func() { afterTree = nil })
+}
+
 // A cancelled solve with AllowPartial surrenders the best incumbent
 // among completed trees instead of the context error. Cancellation is
-// triggered from the first incumbent callback, so at least one tree is
+// triggered right after the first tree, so at least one tree is
 // guaranteed done and at least one is guaranteed not started (Workers=1
 // serializes the trees).
 func TestAllowPartialSurrendersIncumbent(t *testing.T) {
@@ -31,12 +45,7 @@ func TestAllowPartialSurrendersIncumbent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sv := Solver{Trees: 4, Seed: 1, Workers: 1, AllowPartial: true}
-	sv.OnIncumbent = func(r *Result) {
-		if !r.Partial || r.TreesDone < 1 {
-			t.Errorf("incumbent snapshot = %+v, want Partial with TreesDone >= 1", r)
-		}
-		cancel() // surrender after the first completed tree
-	}
+	cancelAfterFirstTree(t, cancel) // surrender after the first completed tree
 	res, err := sv.SolveDecomposition(ctx, g, H, dec)
 	if err != nil {
 		t.Fatalf("AllowPartial solve after cancellation = %v, want incumbent", err)
@@ -77,7 +86,7 @@ func TestCancelledWithoutAllowPartialReturnsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sv := Solver{Trees: 4, Seed: 1, Workers: 1}
-	sv.OnIncumbent = func(r *Result) { cancel() }
+	cancelAfterFirstTree(t, cancel)
 	if _, err := sv.SolveDecomposition(ctx, g, H, dec); err == nil {
 		t.Fatal("cancelled solve without AllowPartial returned a result")
 	}

@@ -31,19 +31,18 @@ import (
 //     (hgpt.ErrBoundExceeded) and records a +Inf sentinel in
 //     PerTreeCosts instead of a finished cost.
 //
-// Execution has two modes. The SEQUENTIAL mode (Workers == 1, or
-// Solver.SequentialPortfolio) runs trees one at a time with the whole
-// budget on node-level DP parallelism; each tree's bound is then a pure
-// function of the completed prefix. The CONCURRENT mode (default when
-// Workers > 1) races trees under the tree×node worker split with ONE
-// shared live CostBound: each completion tightens it, and in-flight
-// DPs re-read it per table, so cross-tree parallelism compounds the
-// node-level scheduler without losing pruning power. Because which
-// trees abort then depends on timing, a deterministic post-hoc
-// reduction (reducePortfolio) replays the preview order against the
-// pure-function sequential bound and re-validates every outcome, so
-// the returned placement, cost, PerTreeCosts, and TreesPruned are
-// bit-identical to the sequential pruned run.
+// The worker budget picks the execution mode. With one tree worker
+// (Workers == 1) the SEQUENTIAL mode runs trees one at a time; each
+// tree's bound is then a pure function of the completed prefix. With
+// more, the CONCURRENT mode races trees under the tree×node worker
+// split with ONE shared live CostBound: each completion tightens it,
+// and in-flight DPs re-read it per table, so cross-tree parallelism
+// compounds the node-level scheduler without losing pruning power.
+// Because which trees abort then depends on timing, a deterministic
+// post-hoc reduction (reducePortfolio) replays the preview order
+// against the pure-function sequential bound and re-validates every
+// outcome, so the returned placement, cost, PerTreeCosts, and
+// TreesPruned are bit-identical to the sequential pruned run.
 //
 // Determinism: the preview order is a pure function of (trees, H, g);
 // the first tree always runs unbounded, so a result always exists; and
@@ -146,7 +145,7 @@ const (
 // bound is computed from: bestMapped is the incumbent mapped cost,
 // maxDist the largest observed DPCost/mapped distortion, and minDPCost
 // the cheapest completed DP optimum. One struct serves three call
-// sites — the sequential loop, the concurrent race's publisher, and
+// sites — the sequential step, the concurrent race's publisher, and
 // the post-hoc reduction — so all three compute the bound with the
 // same pure function.
 type portfolioStats struct {
@@ -208,7 +207,7 @@ func (p *portfolioStats) update(o *treeOut) {
 // exactly in the regime where it is both safe and worth having.
 //
 // Note the value can LOOSEN as the prefix grows (maxDist rises, or the
-// gate trips): the sequential loop therefore hands each tree a fresh
+// gate trips): the sequential step therefore hands each tree a fresh
 // CostBound, while the concurrent race shares one monotone bound and
 // lets the reduction repair any over-tight abort (see reducePortfolio).
 func (p *portfolioStats) bound(bounding bool) (float64, bool) {
@@ -252,116 +251,72 @@ func minAppliedOf(err error) float64 {
 }
 
 // solvePortfolio is the Prune=true body of SolveDecomposition. It
-// fills outs per tree (record() feeds AllowPartial/OnIncumbent
-// incumbents), marks pruned trees rather than erroring them, and
-// returns the number of tree-level workers used (1 = sequential).
+// fills outs per tree, marking pruned trees rather than erroring them:
+// one tree worker runs the sequential mode, more race the trees and
+// reduce the race (see the mode note above).
 //
-// Mode selection: trees race concurrently by default when the worker
-// budget allows more than one tree in flight; Solver.SequentialPortfolio
-// forces the sequential mode. Both modes produce bit-identical results
-// (the concurrent mode via reducePortfolio), so the choice is purely a
-// wall-clock/observability knob.
-func (s Solver) solvePortfolio(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, dec *treedecomp.Decomposition, outs []treeOut, budget int, record func(int)) int {
+// The race shares ONE live CostBound: every completion folds into the
+// race statistics and publishes a (monotone) tightening, which
+// in-flight DPs pick up at their next table. The race's outcomes are
+// timing-dependent — which trees abort, and how deep — so the
+// deterministic reduction replays them afterwards. The shared bound can
+// be OVER-TIGHT relative to the sequential bound (the formula can
+// loosen as maxDist rises or the gate trips, but a published tightening
+// cannot be retracted); that only costs wasted aborts, which the
+// reduction repairs by re-solving. It is never under-sound: every value
+// published satisfies the same two-rail formula over SOME completed
+// set, and the reduction re-validates against the sequential prefix
+// anyway.
+func (s Solver) solvePortfolio(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, dec *treedecomp.Decomposition, outs []treeOut, treeWorkers, budget int) {
 	order := portfolioOrder(g, H, dec)
 	bounding := g.N() >= pruneMinN
-	treeWorkers := budget
-	if treeWorkers > len(dec.Trees) {
-		treeWorkers = len(dec.Trees)
-	}
-	if s.SequentialPortfolio || treeWorkers <= 1 {
-		s.solvePortfolioSeq(ctx, g, H, dec, outs, order, bounding, budget, record)
-		return 1
-	}
-	s.solvePortfolioPar(ctx, g, H, dec, outs, order, bounding, budget, treeWorkers, record)
-	return treeWorkers
-}
-
-// solvePortfolioSeq runs the trees one at a time in preview order,
-// handing the whole budget to node-level DP parallelism. Each tree
-// gets a FRESH static CostBound computed from the completed prefix
-// (the bound formula can loosen; a shared monotone bound could not).
-func (s Solver) solvePortfolioSeq(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, dec *treedecomp.Decomposition, outs []treeOut, order []int, bounding bool, budget int, record func(int)) {
-	st := newPortfolioStats()
-	for _, ti := range order {
-		if err := ctx.Err(); err != nil {
-			outs[ti].err = err
-			continue
-		}
+	// step is the sequential mode's unit of work, shared with the
+	// reduction's re-solves: tree ti runs under a FRESH static bound
+	// computed from the completed prefix st (the bound formula can
+	// loosen; a shared monotone bound could not) with the whole budget
+	// on node-level DP parallelism, and a completion folds into st while
+	// a bound abort becomes the pruned sentinel.
+	step := func(ti int, st *portfolioStats) treeOut {
 		var bound *hgpt.CostBound
 		if v, ok := st.bound(bounding); ok {
 			bound = hgpt.NewCostBound()
 			bound.Tighten(v)
 		}
-		outs[ti] = s.solveTree(ctx, g, H, dec.Trees[ti], ti, budget, bound, nil)
+		o := s.solveTree(ctx, g, H, dec.Trees[ti], ti, budget, bound, nil)
 		switch {
-		case outs[ti].err == nil:
-			record(ti)
-			st.update(&outs[ti])
-		case errors.Is(outs[ti].err, hgpt.ErrBoundExceeded):
-			outs[ti] = prunedOut(&outs[ti])
+		case o.err == nil:
+			st.update(&o)
+		case errors.Is(o.err, hgpt.ErrBoundExceeded):
+			o = prunedOut(&o)
 		}
+		return o
 	}
-}
+	if treeWorkers == 1 {
+		st := newPortfolioStats()
+		runTrees(ctx, outs, order, 1, func(ti int) treeOut { return step(ti, &st) })
+		return
+	}
 
-// solvePortfolioPar races the trees under the tree×node worker split
-// with ONE shared live CostBound: every completion folds into the race
-// statistics and publishes a (monotone) tightening, which in-flight
-// DPs pick up at their next table. The race's outcomes are
-// timing-dependent — which trees abort, and how deep — so a
-// deterministic reduction replays them afterwards.
-//
-// The shared bound can be OVER-TIGHT relative to the sequential bound
-// (the formula can loosen as maxDist rises or the gate trips, but a
-// published tightening cannot be retracted); that only costs wasted
-// aborts, which the reduction repairs by re-solving. It is never
-// under-sound: every value published satisfies the same two-rail
-// formula over SOME completed set, and the reduction re-validates
-// against the sequential prefix anyway.
-func (s Solver) solvePortfolioPar(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, dec *treedecomp.Decomposition, outs []treeOut, order []int, bounding bool, budget, treeWorkers int, record func(int)) {
-	nodeWorkers := budget / treeWorkers
-	shared := hgpt.NewCostBound()
+	var live *hgpt.CostBound // stays nil (unbounded) below pruneMinN
+	if bounding {
+		live = hgpt.NewCostBound()
+	}
 	var raceMu sync.Mutex
 	race := newPortfolioStats()
-	publish := func(o *treeOut) {
-		raceMu.Lock()
-		race.update(o)
-		v, ok := race.bound(bounding)
-		raceMu.Unlock()
-		if ok {
-			shared.Tighten(v)
-		}
-	}
-	var bound *hgpt.CostBound
-	if bounding {
-		bound = shared
-	}
-
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < treeWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range work {
-				if err := ctx.Err(); err != nil {
-					outs[ti].err = err
-					continue
-				}
-				outs[ti] = s.solveTree(ctx, g, H, dec.Trees[ti], ti, nodeWorkers, bound, nil)
-				if outs[ti].err == nil {
-					record(ti)
-					publish(&outs[ti])
-				}
+	runTrees(ctx, outs, order, treeWorkers, func(ti int) treeOut {
+		o := s.solveTree(ctx, g, H, dec.Trees[ti], ti, budget/treeWorkers, live, nil)
+		if o.err == nil {
+			raceMu.Lock()
+			race.update(&o)
+			v, ok := race.bound(bounding)
+			raceMu.Unlock()
+			if ok {
+				live.Tighten(v)
 			}
-		}()
-	}
-	for _, ti := range order {
-		work <- ti
-	}
-	close(work)
-	wg.Wait()
-
-	s.reducePortfolio(ctx, g, H, dec, outs, order, bounding, budget, record)
+		}
+		return o
+	})
+	reducePortfolio(outs, order, bounding, step)
 }
 
 // reducePortfolio is the deterministic post-hoc reduction: replay the
@@ -388,7 +343,7 @@ func (s Solver) solvePortfolioPar(ctx context.Context, g *graph.Graph, H *hierar
 // in both modes alike. Wasted work is bounded: each tree is re-solved
 // at most once, and only when the race's shared bound over-tightened
 // past the sequential value.
-func (s Solver) reducePortfolio(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, dec *treedecomp.Decomposition, outs []treeOut, order []int, bounding bool, budget int, record func(int)) {
+func reducePortfolio(outs []treeOut, order []int, bounding bool, step func(ti int, st *portfolioStats) treeOut) {
 	st := newPortfolioStats()
 	for _, ti := range order {
 		o := &outs[ti]
@@ -411,21 +366,9 @@ func (s Solver) reducePortfolio(ctx context.Context, g *graph.Graph, H *hierarch
 			// Inconclusive abort (shared bound was tighter than the
 			// sequential bound, or no bound applies sequentially):
 			// re-solve under exactly the sequential conditions.
-			var rb *hgpt.CostBound
-			if useBound {
-				rb = hgpt.NewCostBound()
-				rb.Tighten(b)
-			}
 			raced := o.wallMS
-			outs[ti] = s.solveTree(ctx, g, H, dec.Trees[ti], ti, budget, rb, nil)
+			outs[ti] = step(ti, &st)
 			outs[ti].wallMS += raced // total spent on this tree
-			switch {
-			case outs[ti].err == nil:
-				record(ti)
-				st.update(&outs[ti])
-			case errors.Is(outs[ti].err, hgpt.ErrBoundExceeded):
-				outs[ti] = prunedOut(&outs[ti])
-			}
 		}
 		// Real errors (and cancellations) fall through untouched: NaN in
 		// PerTreeCosts, no statistics update — same as the sequential mode.

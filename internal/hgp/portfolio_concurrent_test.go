@@ -71,12 +71,6 @@ func TestConcurrentPruneIdentityBattery(t *testing.T) {
 				t.Fatalf("%s workers %d: %v", tc.name, w, err)
 			}
 			assertContractEqual(t, tc.name, got, seq)
-			// The forced-sequential knob must agree too.
-			forced, err := Solver{Trees: 4, Seed: 5, Workers: w, Prune: true, SequentialPortfolio: true}.Solve(tc.g, tc.h)
-			if err != nil {
-				t.Fatalf("%s workers %d sequential: %v", tc.name, w, err)
-			}
-			assertContractEqual(t, tc.name+"/forced-seq", forced, seq)
 		}
 	}
 }
@@ -107,7 +101,6 @@ func TestConcurrentPruneIdentityAtScale(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, 8} {
 			s.Workers = w
-			s.SequentialPortfolio = false
 			got, err := s.SolveDecomposition(context.Background(), g, h, dec)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
@@ -116,16 +109,6 @@ func TestConcurrentPruneIdentityAtScale(t *testing.T) {
 			if got.ParallelTrees < 2 {
 				t.Fatalf("seed %d workers %d: ParallelTrees = %d, want ≥ 2 (concurrent mode)",
 					seed, w, got.ParallelTrees)
-			}
-			s.SequentialPortfolio = true
-			forced, err := s.SolveDecomposition(context.Background(), g, h, dec)
-			if err != nil {
-				t.Fatalf("seed %d workers %d sequential: %v", seed, w, err)
-			}
-			assertContractEqual(t, "at-scale/forced-seq", forced, seq)
-			if forced.ParallelTrees != 1 {
-				t.Fatalf("seed %d workers %d: SequentialPortfolio ran with ParallelTrees = %d",
-					seed, w, forced.ParallelTrees)
 			}
 		}
 	}
@@ -167,23 +150,23 @@ func TestStatesOutsideDeterminismContract(t *testing.T) {
 }
 
 // TestTreeStatsConsistent: TreeStats must agree index-by-index with the
-// PerTreeCosts sentinels in both portfolio modes, and record sane wall
-// times and abort fractions.
+// PerTreeCosts sentinels in both portfolio modes (4 workers race the
+// trees, 1 runs them one at a time), and record sane wall times and
+// abort fractions.
 func TestTreeStatsConsistent(t *testing.T) {
 	g, h := scaleInstance(29, 128)
 	s := Solver{Eps: 0.5, Trees: 3, Seed: 4, Prune: true}
 	dec := treedecomp.Build(g, s.DecompOptions())
 	dec.Trees = append(dec.Trees, cloneScaled(dec.Trees[1], 8))
 
-	for _, seqMode := range []bool{false, true} {
-		s.Workers = 4
-		s.SequentialPortfolio = seqMode
+	for _, w := range []int{4, 1} {
+		s.Workers = w
 		got, err := s.SolveDecomposition(context.Background(), g, h, dec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got.TreeStats) != len(got.PerTreeCosts) {
-			t.Fatalf("seq=%v: %d tree stats for %d trees", seqMode, len(got.TreeStats), len(got.PerTreeCosts))
+			t.Fatalf("workers=%d: %d tree stats for %d trees", w, len(got.TreeStats), len(got.PerTreeCosts))
 		}
 		for i, st := range got.TreeStats {
 			c := got.PerTreeCosts[i]
@@ -197,13 +180,13 @@ func TestTreeStatsConsistent(t *testing.T) {
 				want = "done"
 			}
 			if st.Outcome != want {
-				t.Fatalf("seq=%v tree %d: outcome %q, cost %v implies %q", seqMode, i, st.Outcome, c, want)
+				t.Fatalf("workers=%d tree %d: outcome %q, cost %v implies %q", w, i, st.Outcome, c, want)
 			}
 			if st.WallMS < 0 || st.AbortFrac < 0 || st.AbortFrac > 1 {
-				t.Fatalf("seq=%v tree %d: wallMS %v abortFrac %v out of range", seqMode, i, st.WallMS, st.AbortFrac)
+				t.Fatalf("workers=%d tree %d: wallMS %v abortFrac %v out of range", w, i, st.WallMS, st.AbortFrac)
 			}
 			if st.Outcome == "done" && st.AbortFrac != 1 {
-				t.Fatalf("seq=%v tree %d: done tree abortFrac %v, want 1", seqMode, i, st.AbortFrac)
+				t.Fatalf("workers=%d tree %d: done tree abortFrac %v, want 1", w, i, st.AbortFrac)
 			}
 		}
 	}

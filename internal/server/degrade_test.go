@@ -240,3 +240,47 @@ func TestPartitionSingleflightExactlyOneBuild(t *testing.T) {
 			coalesced, hits, coalesced+hits, n-1)
 	}
 }
+
+// A coalesced solve whose leader panics retires its singleflight call:
+// the leader answers 500 internal_panic (one panics_total tick), a
+// waiter gets 500 solve_failed, and the next identical request solves
+// afresh instead of waiting out its deadline on the dead call.
+func TestPartitionSingleflightPanicRetiresCall(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{Registry: reg, MaxConcurrent: 4})
+	restore := faultinject.Activate(faultinject.New(10).On(faultinject.CacheLookup,
+		faultinject.Fault{Prob: 1, Count: 1, Delay: 200 * time.Millisecond, PanicMsg: "lookup bug"}))
+	defer restore()
+
+	req := testRequest()
+	req.TimeoutMS = 1500
+	var leader, waiter *httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); leader = postPartition(t, s.Handler(), req) }()
+	for s.rflight.Stats().Leads == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() { defer wg.Done(); waiter = postPartition(t, s.Handler(), req) }()
+	wg.Wait()
+
+	for _, c := range []struct {
+		name string
+		rec  *httptest.ResponseRecorder
+		code string
+	}{{"leader", leader, "internal_panic"}, {"waiter", waiter, "solve_failed"}} {
+		var e apiError
+		if c.rec.Code != http.StatusInternalServerError || json.Unmarshal(c.rec.Body.Bytes(), &e) != nil || e.Code != c.code {
+			t.Fatalf("%s: %d %s, want 500 %s", c.name, c.rec.Code, c.rec.Body.String(), c.code)
+		}
+	}
+	if got := s.rflight.Stats().Coalesced; got != 1 {
+		t.Fatalf("coalesced = %d, want the waiter to have joined the leader's call", got)
+	}
+	if got := reg.Counter("panics_total").Value(); got != 1 {
+		t.Fatalf("panics_total = %d, want 1", got)
+	}
+	if rec := postPartition(t, s.Handler(), req); rec.Code != http.StatusOK {
+		t.Fatalf("repeat after the panic: %d %s, want 200", rec.Code, rec.Body.String())
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"hierpart/internal/cache"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
 	"hierpart/internal/hierarchy"
@@ -24,6 +25,10 @@ import (
 // proceed, so every route sheds and fails the same way.
 
 const drainingMsg = "daemon is draining; retry against another instance"
+
+// maxTrees caps a request's trees: the decomposition build allocates
+// per-tree state for all of them before its first deadline poll.
+const maxTrees = 64
 
 // enter registers a request with the drain bookkeeping, or answers 503
 // draining with msg. A true return must be paired with s.inflight.Done.
@@ -58,12 +63,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, optional 
 // before any queue capacity is spent, so malformed requests never push
 // well-formed ones into load shedding: 413 past the size limits, 400
 // bad_instance when the instance does not materialize, 400 bad_request
-// for a negative parameter.
+// for a negative parameter or more than maxTrees trees.
 func (s *Server) prepare(w http.ResponseWriter, inst *instio.Instance, sv hgp.Solver, timeoutMS int) (*graph.Graph, *hierarchy.Hierarchy, hgp.Solver, bool) {
-	if inst.N > s.cfg.MaxVertices || len(inst.Edges) > s.cfg.MaxEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d vertices and %d edges, server limits are %d and %d",
-				inst.N, len(inst.Edges), s.cfg.MaxVertices, s.cfg.MaxEdges))
+	if s.tooLarge(w, inst.N, len(inst.Edges)) {
 		return nil, nil, sv, false
 	}
 	g, H, err := materialize(inst)
@@ -75,7 +77,24 @@ func (s *Server) prepare(w http.ResponseWriter, inst *instio.Instance, sv hgp.So
 		s.writeError(w, http.StatusBadRequest, "bad_request", "negative solver parameter")
 		return nil, nil, sv, false
 	}
+	if sv.Trees > maxTrees {
+		s.writeError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("trees is %d, the limit is %d", sv.Trees, maxTrees))
+		return nil, nil, sv, false
+	}
 	return g, H, s.solver(sv), true
+}
+
+// tooLarge answers 413 too_large when a graph of n vertices and m edges
+// exceeds the size limits (-max-vertices, -max-edges).
+func (s *Server) tooLarge(w http.ResponseWriter, n, m int) bool {
+	if n <= s.cfg.MaxVertices && m <= s.cfg.MaxEdges {
+		return false
+	}
+	s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+		fmt.Sprintf("graph has %d vertices and %d edges, server limits are %d and %d",
+			n, m, s.cfg.MaxVertices, s.cfg.MaxEdges))
+	return true
 }
 
 // materialize builds and validates an instance; a graph without
@@ -209,7 +228,8 @@ func (s *Server) settle(a *admission, ok bool) {
 // 422 for an exhausted DP state budget, 500 solver_panic for a panic
 // the solver pools contained into an error (one bad tree degrades, all
 // trees failing surfaces here; panics_total makes it observable), and
-// 500 solve_failed otherwise.
+// 500 solve_failed otherwise — including a waiter whose coalesced
+// solve panicked, since the panicking request counts that panic.
 func (s *Server) writeSolveError(w http.ResponseWriter, ctx context.Context, start time.Time, err error) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		s.finishTimeout(w, ctx, start, "during the solve")
@@ -219,6 +239,8 @@ func (s *Server) writeSolveError(w http.ResponseWriter, ctx context.Context, sta
 	switch {
 	case strings.Contains(err.Error(), "state budget exceeded"):
 		s.writeError(w, http.StatusUnprocessableEntity, "state_budget_exceeded", err.Error())
+	case errors.Is(err, cache.ErrBuildPanicked):
+		s.writeError(w, http.StatusInternalServerError, "solve_failed", err.Error())
 	case strings.Contains(err.Error(), "panic"):
 		s.reg.Counter("panics_total").Inc()
 		s.writeError(w, http.StatusInternalServerError, "solver_panic", err.Error())

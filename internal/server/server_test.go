@@ -217,6 +217,37 @@ func TestPartitionMalformed(t *testing.T) {
 	}
 }
 
+// Both routes that take solver parameters cap trees at maxTrees: a
+// request for 65536 trees is 400 bad_request before any decomposition
+// work, on the one-shot route and at session registration alike, while
+// exactly maxTrees is served.
+func TestTreesCeiling(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	partition, graphs := testRequest(), sessionCreateRequest()
+	partition.TimeoutMS = 100
+	for _, trees := range []int{65536, maxTrees} {
+		partition.Trees, graphs.Trees = trees, trees
+		for _, c := range []struct {
+			path string
+			body any
+			ok   int
+		}{{"/v1/partition", partition, http.StatusOK}, {"/v1/graphs", graphs, http.StatusCreated}} {
+			rec := doJSON(t, h, http.MethodPost, c.path, c.body)
+			if trees == maxTrees {
+				if rec.Code != c.ok {
+					t.Fatalf("%s with %d trees: %d %s, want %d", c.path, trees, rec.Code, rec.Body.String(), c.ok)
+				}
+				continue
+			}
+			var e apiError
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code != "bad_request" {
+				t.Fatalf("%s with %d trees: %d %s, want 400 bad_request", c.path, trees, rec.Code, rec.Body.String())
+			}
+		}
+	}
+}
+
 // blockingSolve stubs the solver backend with one that parks until
 // release closes (or the context dies), so tests control solve timing.
 func blockingSolve(started chan<- struct{}, release <-chan struct{}) solveFunc {

@@ -436,7 +436,8 @@ func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// All deltas apply to a scratch clone and swap in atomically: a bad
-	// delta anywhere in the batch rejects the whole PATCH with the
+	// delta anywhere in the batch, or a patched graph past the size
+	// limits (413, as at registration), rejects the whole PATCH with the
 	// session unchanged.
 	scratch := sess.g.Clone()
 	var repairDeltas []treedecomp.Delta
@@ -459,6 +460,9 @@ func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		repairDeltas = append(repairDeltas, expanded...)
+	}
+	if s.tooLarge(w, scratch.N(), scratch.M()) {
+		return
 	}
 
 	sess.g = scratch

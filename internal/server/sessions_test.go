@@ -727,3 +727,42 @@ func TestSessionSolveSheds(t *testing.T) {
 		t.Fatalf("shed_total{reason=draining} = %d, want 1", got)
 	}
 }
+
+// PATCH holds a session to the size limits a registration meets: a
+// batch that would grow the graph past -max-vertices or -max-edges is
+// 413 too_large with the registration's message, and the session stays
+// at its version; growing up to the limits is accepted.
+func TestSessionPatchHonoursSizeLimits(t *testing.T) {
+	s := newTestServer(t, Config{MaxVertices: 9, MaxEdges: 14}) // the session has 8 and 13
+	h := s.Handler()
+	view := createSession(t, h, sessionCreateRequest())
+
+	cases := []struct {
+		name   string
+		deltas []GraphDelta
+		msg    string
+	}{
+		{"vertices", []GraphDelta{{Op: "add_vertex", Weight: 0.5}, {Op: "add_vertex", Weight: 0.5}},
+			"graph has 10 vertices and 13 edges, server limits are 9 and 14"},
+		{"edges", []GraphDelta{{Op: "add_edge", U: 0, V: 5, Weight: 1}, {Op: "add_edge", U: 0, V: 6, Weight: 1}},
+			"graph has 8 vertices and 15 edges, server limits are 9 and 14"},
+	}
+	for _, tc := range cases {
+		rec := doJSON(t, h, http.MethodPatch, "/v1/graphs/"+view.ID, GraphPatchRequest{Version: 1, Deltas: tc.deltas})
+		var e apiError
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+			e.Code != "too_large" || e.Error != tc.msg {
+			t.Fatalf("%s: %d %s, want 413 too_large %q", tc.name, rec.Code, rec.Body.String(), tc.msg)
+		}
+		var now GraphSessionResponse
+		got := doJSON(t, h, http.MethodGet, "/v1/graphs/"+view.ID, nil)
+		if err := json.Unmarshal(got.Body.Bytes(), &now); err != nil || now.Version != 1 || now.N != 8 || now.M != 13 {
+			t.Fatalf("%s: session moved to %+v", tc.name, now)
+		}
+	}
+	grown := patchSession(t, h, view.ID, 1,
+		GraphDelta{Op: "add_vertex", Weight: 0.5}, GraphDelta{Op: "add_edge", U: 0, V: 8, Weight: 1})
+	if grown.Version != 2 || grown.N != 9 || grown.M != 14 {
+		t.Fatalf("patch up to the limits = %+v, want version 2 with 9 vertices and 14 edges", grown)
+	}
+}

@@ -150,28 +150,22 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt Options) (*Decomposit
 		}()
 		d.Trees[i], errs[i] = buildOne(ctx, g, rand.New(rand.NewSource(seeds[i])), passes, opt.FlowRefine, opt.Strategy)
 	}
-	if workers == 1 {
-		for i := 0; i < nTrees; i++ {
-			build(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					build(i)
-				}
-			}()
-		}
-		for i := 0; i < nTrees; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				build(i)
+			}
+		}()
 	}
+	for i := 0; i < nTrees; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
