@@ -14,12 +14,14 @@ import (
 	"testing"
 
 	"hierpart/internal/baseline"
+	"hierpart/internal/canon"
 	"hierpart/internal/experiments"
 	"hierpart/internal/gen"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
 	"hierpart/internal/hgpt"
 	"hierpart/internal/hierarchy"
+	"hierpart/internal/instio"
 	"hierpart/internal/metrics"
 	"hierpart/internal/treedecomp"
 )
@@ -342,7 +344,7 @@ func BenchmarkPhaseRefineLocal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baseline.RefineLocal(bg.g, bg.h, start, 1.2, 1)
+		baseline.RefineLocal(context.Background(), bg.g, bg.h, start, 1.2, 1)
 	}
 }
 
@@ -404,5 +406,50 @@ func BenchmarkPhaseMultilevel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		baseline.Multilevel(rng, bg.g, bg.h)
+	}
+}
+
+// denseInstance is K_n as a request would carry it: every pair once, in
+// shuffled order and orientation, with random weights.
+func denseInstance(n int) instio.Instance {
+	rng := rand.New(rand.NewSource(1))
+	inst := instio.Instance{Hierarchy: instio.HierarchySpec{Deg: []int{4, 4}, CM: []float64{20, 4, 0}}, N: n}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			a, b := u, v
+			if rng.Intn(2) == 0 {
+				a, b = v, u
+			}
+			inst.Edges = append(inst.Edges, [3]float64{float64(a), float64(b), 1 + 9*rng.Float64()})
+		}
+	}
+	rng.Shuffle(len(inst.Edges), func(i, j int) { inst.Edges[i], inst.Edges[j] = inst.Edges[j], inst.Edges[i] })
+	return inst
+}
+
+// BenchmarkMaterializeDense builds the graph of a shuffled K_1000
+// (499 500 edges) from its request form.
+func BenchmarkMaterializeDense(b *testing.B) {
+	inst := denseInstance(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := inst.Materialize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPermuteDense relabels that K_1000 as the canonical form does.
+func BenchmarkPermuteDense(b *testing.B) {
+	g, _, err := denseInstance(1000).Materialize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(2)).Perm(g.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		canon.Permute(g, perm)
 	}
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -62,7 +63,7 @@ func run() error {
 		return err
 	}
 	if *refine {
-		a = baseline.RefineLocal(g, h, a, 1.2, 3)
+		a = baseline.RefineLocal(context.Background(), g, h, a, 1.2, 3)
 	}
 
 	cost := metrics.CostLCA(g, h, a)

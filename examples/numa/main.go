@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -40,7 +41,7 @@ func main() {
 			log.Fatal(err)
 		}
 		obl := baseline.KBGPOblivious(rng, g, h)
-		oblRef := baseline.RefineLocal(g, h, obl, 1.1, 3)
+		oblRef := baseline.RefineLocal(context.Background(), g, h, obl, 1.1, 3)
 		oblCost := metrics.CostLCA(g, h, obl)
 		fmt.Fprintf(tw, "%.0f\t%.0f\t%.0f\t%.0f\t%.2f\n",
 			steep, res.Cost, oblCost, metrics.CostLCA(g, h, oblRef), oblCost/res.Cost)

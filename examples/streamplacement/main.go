@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,7 +55,7 @@ func main() {
 		a    metrics.Assignment
 	}{
 		{"hgp (SPAA'14)", res.Assignment},
-		{"hgp + local refine", baseline.RefineLocal(g, h, res.Assignment, 1.2, 3)},
+		{"hgp + local refine", baseline.RefineLocal(context.Background(), g, h, res.Assignment, 1.2, 3)},
 		{"dual recursive (SCOTCH-style)", baseline.DualRecursive(rng, g, h)},
 		{"multilevel (METIS-style)", baseline.Multilevel(rng, g, h)},
 		{"round robin (OS-like)", rr},

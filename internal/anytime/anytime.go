@@ -26,8 +26,7 @@ const (
 	// TierBaseline is the k-BGP-style heuristic fallback: SCOTCH-style
 	// dual recursive bipartitioning mapped directly onto the hierarchy
 	// (internal/baseline.DualRecursive), polished with one local
-	// refinement pass on small instances. No decomposition, no DP —
-	// milliseconds even where the DP takes seconds.
+	// refinement pass on small instances. No decomposition, no DP.
 	TierBaseline
 	numTiers
 )
@@ -64,7 +63,7 @@ type DPFunc func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv
 type Options struct {
 	// Solver is the full tier's configuration. The full tier keeps its
 	// whole Workers budget: the only other rung is the baseline, a
-	// single goroutine that finishes in milliseconds.
+	// single goroutine.
 	Solver hgp.Solver
 	// SolveDP overrides how the full tier executes; nil means a direct
 	// hgp.SolveContext. The solver passed in always has AllowPartial
@@ -332,18 +331,19 @@ func runContained(ctx context.Context, run func(context.Context) (*hgp.Result, e
 // small instances. It is deterministic per seed and — unlike the full
 // tier — runs to completion even when ctx has already expired: this
 // rung is the ladder's floor, the reason "some valid placement" can be
-// promised at all, and it finishes in milliseconds on anything the
-// serving path admits. Only the optional polish pass yields to an
-// expired deadline.
+// promised at all. DualRecursive is not cheap at the top of the
+// admitted range (0.10 s at n = 2048, 12 s at n = 32768 on sparse
+// community graphs); only the optional polish pass yields to ctx.
 func solveBaseline(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, seed int64) (*hgp.Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	assign := baseline.DualRecursive(rng, g, H)
-	// The swap pass of RefineLocal is quadratic; keep the polish to
-	// instances where it stays in the low milliseconds.
+	// The polish's swap sweep is O(n²·deg): one pass took 0.17 s at
+	// n = 512 and 2.65 s at n = 2048 on sparse community graphs. It
+	// stops when ctx is done (the deadline, or a completed full tier)
+	// and keeps the moves made so far. Above the gate one pass would
+	// outlast most deadlines.
 	if g.N() <= 2048 {
-		if err := ctx.Err(); err == nil {
-			assign = baseline.RefineLocal(g, H, assign, 1.0, 1)
-		}
+		assign = baseline.RefineLocal(ctx, g, H, assign, 1.0, 1)
 	}
 	if err := assign.Validate(g, H); err != nil {
 		return nil, fmt.Errorf("anytime: baseline produced invalid placement: %w", err)

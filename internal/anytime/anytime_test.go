@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hierpart/internal/baseline"
 	"hierpart/internal/faultinject"
 	"hierpart/internal/gen"
 	"hierpart/internal/graph"
@@ -128,6 +129,34 @@ func TestOnlyRestrictsLadder(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if _, err := Solve(ctx, g, H, Options{Solver: hgp.Solver{Trees: 2, Seed: 1}, Only: &only}); err == nil {
 		t.Fatal("full-only ladder with expired deadline must fail (no fallback rung)")
+	}
+}
+
+// The floor's polish pass is O(n²·deg) — seconds at n = 2048 — so it
+// must stop at the deadline: only DualRecursive itself may run past it.
+func TestFloorPolishHonoursDeadline(t *testing.T) {
+	const n = 2048
+	g := gen.Community(rand.New(rand.NewSource(1)), n/32, 32, 0.2, 0.0003, 8, 1)
+	gen.EqualDemands(g, 8.0/n)
+	H := hierarchy.NUMASockets(4, 4)
+
+	start := time.Now()
+	baseline.DualRecursive(rand.New(rand.NewSource(1)), g, H)
+	dualRecursive := time.Since(start)
+
+	const deadline = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	only := TierBaseline
+	start = time.Now()
+	out, err := Solve(ctx, g, H, Options{Solver: hgp.Solver{Seed: 1}, Only: &only})
+	late := time.Since(start) - deadline
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertValid(t, g, H, out)
+	if margin := 100 * time.Millisecond; late > dualRecursive+margin {
+		t.Fatalf("baseline-only ladder answered %v past a %v deadline; DualRecursive alone takes %v", late, deadline, dualRecursive)
 	}
 }
 

@@ -8,7 +8,7 @@
 // on its own: a deadline or state blowup mid-DP used to surrender
 // nothing. With anytime semantics a cancelled full solve yields its
 // best-so-far incumbent (hgp.Solver.AllowPartial), and the heuristic
-// rung finishes in milliseconds, so a serving path built on this
+// rung needs no decomposition or DP, so a serving path built on this
 // package degrades in quality instead of failing.
 //
 // Main entry points: Solve, Options, Outcome, Tier.

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 
@@ -165,7 +166,7 @@ func Multilevel(rng *rand.Rand, g *graph.Graph, H *hierarchy.Hierarchy) metrics.
 		for v := 0; v < li.g.N(); v++ {
 			fine[v] = assign[li.coarse[v]]
 		}
-		fine = RefineLocal(li.g, H, fine, 1.05, 2)
+		fine = RefineLocal(context.Background(), li.g, H, fine, 1.05, 2)
 		assign = fine
 	}
 	return assign
@@ -209,15 +210,15 @@ func coarsen(g *graph.Graph, rng *rand.Rand) (*graph.Graph, []int) {
 			next++
 		}
 	}
-	cg := graph.New(next)
+	var es []graph.Edge
+	for _, e := range g.Edges() {
+		if cu, cv := coarseOf[e.U], coarseOf[e.V]; cu != cv {
+			es = append(es, graph.Edge{U: cu, V: cv, Weight: e.Weight})
+		}
+	}
+	cg := graph.FromEdges(next, es)
 	for v := 0; v < n; v++ {
 		cg.SetDemand(coarseOf[v], cg.Demand(coarseOf[v])+g.Demand(v))
-	}
-	for _, e := range g.Edges() {
-		cu, cv := coarseOf[e.U], coarseOf[e.V]
-		if cu != cv {
-			cg.AddEdge(cu, cv, e.Weight)
-		}
 	}
 	return cg, coarseOf
 }
@@ -228,8 +229,11 @@ func coarsen(g *graph.Graph, rng *rand.Rand) (*graph.Graph, []int) {
 // below maxLoad), and swapping the leaves of a vertex pair when that
 // reduces cost without pushing either leaf further over budget. It never
 // worsens the cost and works on any starting assignment — including the
-// output of the paper's algorithm (experiment E5 reports both).
-func RefineLocal(g *graph.Graph, H *hierarchy.Hierarchy, assign metrics.Assignment, maxLoad float64, passes int) metrics.Assignment {
+// output of the paper's algorithm (experiment E5 reports both). The
+// swap sweep is O(n²·deg), so the sweeps stop once ctx is done; every
+// move already made is kept, since each one leaves a complete
+// assignment no worse than before it.
+func RefineLocal(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, assign metrics.Assignment, maxLoad float64, passes int) metrics.Assignment {
 	out := assign.Clone()
 	k := H.Leaves()
 	n := g.N()
@@ -249,9 +253,9 @@ func RefineLocal(g *graph.Graph, H *hierarchy.Hierarchy, assign metrics.Assignme
 		})
 		return c
 	}
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < passes && ctx.Err() == nil; pass++ {
 		improved := false
-		for v := 0; v < n; v++ {
+		for v := 0; v < n && ctx.Err() == nil; v++ {
 			cur := out[v]
 			bestLeaf, bestCost := cur, costAt(v, cur, -1)
 			for l := 0; l < k; l++ {
@@ -274,7 +278,7 @@ func RefineLocal(g *graph.Graph, H *hierarchy.Hierarchy, assign metrics.Assignme
 		}
 		// Swap pass: exchange the leaves of u and v when profitable and
 		// the destination loads do not get worse past the budget.
-		for v := 0; v < n; v++ {
+		for v := 0; v < n && ctx.Err() == nil; v++ {
 			for u := v + 1; u < n; u++ {
 				lv, lu := out[v], out[u]
 				if lv == lu {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestRefineLocalNeverWorsens(t *testing.T) {
 		g := testGraph(int64(trial), 16)
 		start := Random(rng, g, h)
 		before := metrics.CostLCA(g, h, start)
-		refined := RefineLocal(g, h, start, 1.1, 4)
+		refined := RefineLocal(context.Background(), g, h, start, 1.1, 4)
 		after := metrics.CostLCA(g, h, refined)
 		if after > before+1e-9 {
 			t.Fatalf("refinement worsened cost: %v -> %v", before, after)
@@ -122,7 +123,7 @@ func TestRefineLocalImprovesObviousMistake(t *testing.T) {
 	g.AddEdge(2, 3, 100)
 	h := hierarchy.FlatKWay(2)
 	bad := metrics.Assignment{0, 1, 0, 1}
-	refined := RefineLocal(g, h, bad, 1.0, 4)
+	refined := RefineLocal(context.Background(), g, h, bad, 1.0, 4)
 	if got := metrics.CostLCA(g, h, refined); got != 0 {
 		t.Fatalf("refined cost = %v, want 0 (assignment %v)", got, refined)
 	}

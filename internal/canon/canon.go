@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"sort"
 
 	"hierpart/internal/graph"
@@ -171,34 +172,28 @@ func CanonicalizeOpts(g *graph.Graph, opt Options) (*Form, bool) {
 // deterministic float summations identical across isomorphic
 // submissions.
 func Permute(g *graph.Graph, perm []int) *graph.Graph {
-	n := g.N()
-	out := graph.New(n)
-	for v := 0; v < n; v++ {
+	out := graph.FromEdges(g.N(), relabelledEdges(g, perm))
+	for v := 0; v < g.N(); v++ {
 		out.SetDemand(perm[v], g.Demand(v))
 	}
-	es := g.Edges()
-	type pe struct {
-		u, v int
-		w    float64
-	}
-	pes := make([]pe, 0, len(es))
-	for _, e := range es {
-		u, v := perm[e.U], perm[e.V]
-		if u > v {
-			u, v = v, u
-		}
-		pes = append(pes, pe{u, v, e.Weight})
-	}
-	sort.Slice(pes, func(i, j int) bool {
-		if pes[i].u != pes[j].u {
-			return pes[i].u < pes[j].u
-		}
-		return pes[i].v < pes[j].v
-	})
-	for _, e := range pes {
-		out.AddEdge(e.u, e.v, e.w)
-	}
 	return out
+}
+
+// relabelledEdges returns g's edges with vertex v relabelled to
+// perm[v], each with U < V, sorted by (U, V).
+func relabelledEdges(g *graph.Graph, perm []int) []graph.Edge {
+	es := g.Edges()
+	for i, e := range es {
+		u, v := perm[e.U], perm[e.V]
+		es[i] = graph.Edge{U: min(u, v), V: max(u, v), Weight: e.Weight}
+	}
+	slices.SortFunc(es, func(a, b graph.Edge) int {
+		if a.U != b.U {
+			return a.U - b.U
+		}
+		return a.V - b.V
+	})
+	return es
 }
 
 // certificate serializes g under the discrete colouring perm (vertex v
@@ -218,28 +213,10 @@ func certificate(g *graph.Graph, perm []int) []byte {
 	for c := 0; c < n; c++ {
 		w64(math.Float64bits(g.Demand(inv[c])))
 	}
-	type ce struct {
-		u, v int
-		w    float64
-	}
-	ces := make([]ce, 0, g.M())
-	for _, e := range g.Edges() {
-		u, v := perm[e.U], perm[e.V]
-		if u > v {
-			u, v = v, u
-		}
-		ces = append(ces, ce{u, v, e.Weight})
-	}
-	sort.Slice(ces, func(i, j int) bool {
-		if ces[i].u != ces[j].u {
-			return ces[i].u < ces[j].u
-		}
-		return ces[i].v < ces[j].v
-	})
-	for _, e := range ces {
-		w64(uint64(e.u))
-		w64(uint64(e.v))
-		w64(math.Float64bits(e.w))
+	for _, e := range relabelledEdges(g, perm) {
+		w64(uint64(e.U))
+		w64(uint64(e.V))
+		w64(math.Float64bits(e.Weight))
 	}
 	return buf
 }

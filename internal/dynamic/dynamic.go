@@ -10,6 +10,9 @@ import (
 	"hierpart/internal/metrics"
 )
 
+// refinePasses bounds the migration-aware refinement sweeps.
+const refinePasses = 2
+
 // Options configures Replace.
 type Options struct {
 	// Solver runs the fresh solve of the drifted instance.
@@ -19,9 +22,6 @@ type Options struct {
 	// against any communication-cost gain. Zero disables the refinement
 	// pass (matching still runs).
 	MigrationWeight float64
-	// RefinePasses bounds the migration-aware refinement sweeps.
-	// Zero means 2.
-	RefinePasses int
 	// MaxLoad is the per-leaf load budget during refinement.
 	// Zero means 1.2.
 	MaxLoad float64
@@ -87,11 +87,7 @@ func Diff(g *graph.Graph, H *hierarchy.Hierarchy, old, fresh metrics.Assignment,
 	scratch := metrics.CostLCA(g, H, assign)
 
 	if opt.MigrationWeight > 0 {
-		passes := opt.RefinePasses
-		if passes == 0 {
-			passes = 2
-		}
-		assign = refineMigration(g, H, assign, old, opt.MigrationWeight, maxLoad, passes)
+		assign = refineMigration(g, H, assign, old, opt.MigrationWeight, maxLoad)
 	}
 	if opt.MaxMoves > 0 {
 		assign = capMoves(g, H, assign, old, opt.MaxMoves, maxLoad)
@@ -232,8 +228,9 @@ func Relabel(g *graph.Graph, H *hierarchy.Hierarchy, fresh, old metrics.Assignme
 // refineMigration is a move-based local search on the combined objective
 // cost + w·migration: a task may return toward its old leaf when the
 // communication penalty is smaller than the migration charge, or move
-// further when communication gains dominate.
-func refineMigration(g *graph.Graph, H *hierarchy.Hierarchy, assign, old metrics.Assignment, w, maxLoad float64, passes int) metrics.Assignment {
+// further when communication gains dominate. It runs at most
+// refinePasses sweeps.
+func refineMigration(g *graph.Graph, H *hierarchy.Hierarchy, assign, old metrics.Assignment, w, maxLoad float64) metrics.Assignment {
 	out := assign.Clone()
 	k := H.Leaves()
 	loads := make([]float64, k)
@@ -253,7 +250,7 @@ func refineMigration(g *graph.Graph, H *hierarchy.Hierarchy, assign, old metrics
 		}
 		return 0
 	}
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		improved := false
 		for v := 0; v < g.N(); v++ {
 			cur := out[v]

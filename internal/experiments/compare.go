@@ -80,7 +80,7 @@ func E5VsBaselines(cfg Config) *Table {
 				continue
 			}
 			hgpC += res.Cost
-			refined := baseline.RefineLocal(g, h, res.Assignment, 1.2, 2)
+			refined := baseline.RefineLocal(context.Background(), g, h, res.Assignment, 1.2, 2)
 			refC += metrics.CostLCA(g, h, refined)
 			dualC += metrics.CostLCA(g, h, baseline.DualRecursive(rng, g, h))
 			mlC += metrics.CostLCA(g, h, baseline.Multilevel(rng, g, h))
@@ -280,7 +280,7 @@ func E21AtScale(cfg Config) *Table {
 			t.AddRow(n, "err: "+err.Error())
 			continue
 		}
-		refined := baseline.RefineLocal(g, h, res.Assignment, 1.2, 2)
+		refined := baseline.RefineLocal(context.Background(), g, h, res.Assignment, 1.2, 2)
 		offMed, onMed, abErr := e21PruneAB(cfg, g, h)
 		if abErr != nil {
 			t.AddRow(n, "err: "+abErr.Error())

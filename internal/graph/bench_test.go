@@ -31,15 +31,6 @@ func BenchmarkCutWeight(b *testing.B) {
 	}
 }
 
-func BenchmarkToCSR(b *testing.B) {
-	g := benchRandom(256, 0.1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ToCSR()
-	}
-}
-
 func BenchmarkEdges(b *testing.B) {
 	g := benchRandom(256, 0.1)
 	b.ReportAllocs()

@@ -8,8 +8,7 @@
 // any cut.
 //
 // Main entry points: New builds a Graph; AddEdge/SetDemand populate it;
-// Edges returns a deterministic sorted edge list (the canonical form
-// the decomposition cache hashes); ToCSR converts to a compact
-// read-only CSR for the solver hot paths; WriteDOT renders Graphviz
-// output for debugging.
+// FromEdges builds one from a whole edge list in O(n + m); Edges returns
+// a deterministic sorted edge list (the canonical form the decomposition
+// cache hashes); WriteDOT renders Graphviz output for debugging.
 package graph

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -16,21 +17,66 @@ type Edge struct {
 // The zero value is an empty graph; use New to pre-size.
 type Graph struct {
 	demands []float64
-	adj     []map[int]float64 // adj[u][v] = weight
-	nbr     [][]int           // neighbors of u in first-insertion order
-	m       int               // number of distinct edges
+	adj     [][]neighbor // adj[u]: u's neighbours in first-insertion order
+	m       int          // number of distinct edges
+}
+
+// neighbor is one entry of a vertex's adjacency list: the other
+// endpoint and the edge weight.
+type neighbor struct {
+	v int
+	w float64
 }
 
 // New returns a graph with n vertices, no edges, and zero demands.
 func New(n int) *Graph {
-	g := &Graph{
-		demands: make([]float64, n),
-		adj:     make([]map[int]float64, n),
-		nbr:     make([][]int, n),
+	return &Graph{demands: make([]float64, n), adj: make([][]neighbor, n)}
+}
+
+// FromEdges returns the graph that New(n) followed by AddEdge on each
+// edge in list order builds: parallel edges merge with their weights
+// summed in list order, and every neighbour list keeps first-insertion
+// order. It takes O(n + m) time, where AddEdge scans a neighbour list
+// per call. It panics on the edges AddEdge rejects.
+func FromEdges(n int, edges []Edge) *Graph {
+	g := New(n)
+	// Lay out every copy of every edge at both endpoints, in list
+	// order, in one backing array.
+	off := make([]int, n+1)
+	for _, e := range edges {
+		g.checkEdge(e.U, e.V, e.Weight)
+		off[e.U+1]++
+		off[e.V+1]++
 	}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]float64)
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
 	}
+	back := make([]neighbor, off[n])
+	for v := range g.adj {
+		g.adj[v] = back[off[v]:off[v]:off[v+1]]
+	}
+	for _, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], neighbor{e.V, e.Weight})
+		g.adj[e.V] = append(g.adj[e.V], neighbor{e.U, e.Weight})
+	}
+	// Merge each list in place: a neighbour keeps its first position
+	// and adds up its copies' weights from zero in list order.
+	at := make([]int, n) // at[x]-1: x's position in the list being merged
+	for u, copies := range g.adj {
+		merged := copies[:0]
+		for _, a := range copies {
+			i := at[a.v] - 1
+			if i < 0 || i >= len(merged) || merged[i].v != a.v {
+				i = len(merged)
+				at[a.v] = i + 1
+				merged = append(merged, neighbor{v: a.v})
+			}
+			merged[i].w += a.w
+		}
+		g.adj[u] = merged
+		g.m += len(merged)
+	}
+	g.m /= 2
 	return g
 }
 
@@ -43,8 +89,7 @@ func (g *Graph) M() int { return g.m }
 // AddVertex appends a vertex with the given demand and returns its ID.
 func (g *Graph) AddVertex(demand float64) int {
 	g.demands = append(g.demands, demand)
-	g.adj = append(g.adj, make(map[int]float64))
-	g.nbr = append(g.nbr, nil)
+	g.adj = append(g.adj, nil)
 	return len(g.demands) - 1
 }
 
@@ -72,21 +117,10 @@ func (g *Graph) TotalDemand() float64 {
 // AddEdge adds weight w to the edge {u, v}, creating it if absent.
 // It panics on self-loops, out-of-range vertices, or negative weight.
 func (g *Graph) AddEdge(u, v int, w float64) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
-	}
-	if w < 0 || math.IsNaN(w) {
-		panic(fmt.Sprintf("graph: invalid edge weight %v", w))
-	}
-	if _, ok := g.adj[u][v]; !ok {
-		g.m++
-		g.nbr[u] = append(g.nbr[u], v)
-		g.nbr[v] = append(g.nbr[v], u)
-	}
-	g.adj[u][v] += w
-	g.adj[v][u] += w
+	g.checkEdge(u, v, w)
+	i, j := g.slot(u, v)
+	g.adj[u][i].w += w
+	g.adj[v][j].w += w
 }
 
 // SetEdgeWeight sets the weight of edge {u, v} to exactly w, creating
@@ -94,21 +128,39 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // accumulates. It panics on self-loops, out-of-range vertices, or a
 // non-positive or NaN weight (use RemoveEdge to delete an edge).
 func (g *Graph) SetEdgeWeight(u, v int, w float64) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
-	}
-	if w <= 0 || math.IsNaN(w) {
+	g.checkEdge(u, v, w)
+	if w == 0 {
 		panic(fmt.Sprintf("graph: invalid edge weight %v", w))
 	}
-	if _, ok := g.adj[u][v]; !ok {
-		g.m++
-		g.nbr[u] = append(g.nbr[u], v)
-		g.nbr[v] = append(g.nbr[v], u)
+	i, j := g.slot(u, v)
+	g.adj[u][i].w = w
+	g.adj[v][j].w = w
+}
+
+// slot returns the positions of v in u's list and of u in v's list,
+// appending a zero-weight edge {u, v} to both if it is absent.
+func (g *Graph) slot(u, v int) (i, j int) {
+	if i = g.find(u, v); i >= 0 {
+		return i, g.find(v, u)
 	}
-	g.adj[u][v] = w
-	g.adj[v][u] = w
+	g.m++
+	g.adj[u] = append(g.adj[u], neighbor{v: v})
+	g.adj[v] = append(g.adj[v], neighbor{v: u})
+	return len(g.adj[u]) - 1, len(g.adj[v]) - 1
+}
+
+// find returns the position of v in u's neighbour list, or -1 when
+// the edge is absent or either vertex is out of range.
+func (g *Graph) find(u, v int) int {
+	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
+		return -1
+	}
+	for i, a := range g.adj[u] {
+		if a.v == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // RemoveEdge deletes the edge {u, v} and reports whether it existed.
@@ -117,42 +169,26 @@ func (g *Graph) SetEdgeWeight(u, v int, w float64) {
 func (g *Graph) RemoveEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	if _, ok := g.adj[u][v]; !ok {
+	i := g.find(u, v)
+	if i < 0 {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.nbr[u] = dropNeighbor(g.nbr[u], v)
-	g.nbr[v] = dropNeighbor(g.nbr[v], u)
+	g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	j := g.find(v, u)
+	g.adj[v] = slices.Delete(g.adj[v], j, j+1)
 	g.m--
 	return true
 }
 
-// dropNeighbor removes the first occurrence of x, preserving order.
-func dropNeighbor(ns []int, x int) []int {
-	for i, n := range ns {
-		if n == x {
-			return append(ns[:i], ns[i+1:]...)
-		}
-	}
-	return ns
-}
-
 // HasEdge reports whether the edge {u, v} exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
-		return false
-	}
-	_, ok := g.adj[u][v]
-	return ok
-}
+func (g *Graph) HasEdge(u, v int) bool { return g.find(u, v) >= 0 }
 
 // Weight returns the weight of edge {u, v}, or 0 if the edge is absent.
 func (g *Graph) Weight(u, v int) float64 {
-	if !g.HasEdge(u, v) {
-		return 0
+	if i := g.find(u, v); i >= 0 {
+		return g.adj[u][i].w
 	}
-	return g.adj[u][v]
+	return 0
 }
 
 // Degree returns the number of neighbors of v.
@@ -166,29 +202,28 @@ func (g *Graph) Degree(v int) int {
 func (g *Graph) WeightedDegree(v int) float64 {
 	g.check(v)
 	var s float64
-	for _, u := range g.nbr[v] {
-		s += g.adj[v][u]
+	for _, a := range g.adj[v] {
+		s += a.w
 	}
 	return s
 }
 
 // Neighbors calls fn for every neighbor of v with the edge weight, in
 // first-insertion order — a deterministic order, so floating-point sums
-// over a vertex's edges are bit-reproducible across runs (map iteration
-// would not be).
+// over a vertex's edges are bit-reproducible across runs.
 func (g *Graph) Neighbors(v int, fn func(u int, w float64)) {
 	g.check(v)
-	for _, u := range g.nbr[v] {
-		fn(u, g.adj[v][u])
+	for _, a := range g.adj[v] {
+		fn(a.v, a.w)
 	}
 }
 
 // SortedNeighbors returns the neighbors of v in ascending vertex order.
 func (g *Graph) SortedNeighbors(v int) []int {
 	g.check(v)
-	ns := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		ns = append(ns, u)
+	ns := make([]int, len(g.adj[v]))
+	for i, a := range g.adj[v] {
+		ns[i] = a.v
 	}
 	sort.Ints(ns)
 	return ns
@@ -197,19 +232,15 @@ func (g *Graph) SortedNeighbors(v int) []int {
 // Edges returns all edges with U < V, sorted by (U, V).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			if u < v {
-				es = append(es, Edge{U: u, V: v, Weight: w})
+	for u, as := range g.adj {
+		row := len(es)
+		for _, a := range as {
+			if u < a.v {
+				es = append(es, Edge{U: u, V: a.v, Weight: a.w})
 			}
 		}
+		slices.SortFunc(es[row:], func(x, y Edge) int { return x.V - y.V })
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
 	return es
 }
 
@@ -217,27 +248,26 @@ func (g *Graph) Edges() []Edge {
 // (per-vertex insertion) order.
 func (g *Graph) TotalWeight() float64 {
 	var s float64
-	for u := range g.adj {
-		for _, v := range g.nbr[u] {
-			if u < v {
-				s += g.adj[u][v]
+	for u, as := range g.adj {
+		for _, a := range as {
+			if u < a.v {
+				s += a.w
 			}
 		}
 	}
 	return s
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. Its lists share one backing array,
+// each capped at its own end so an append reallocates it instead of
+// overwriting the next.
 func (g *Graph) Clone() *Graph {
-	c := New(g.N())
-	copy(c.demands, g.demands)
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			c.adj[u][v] = w
-		}
-		c.nbr[u] = append([]int(nil), g.nbr[u]...)
+	c := &Graph{demands: slices.Clone(g.demands), adj: make([][]neighbor, g.N()), m: g.m}
+	back := make([]neighbor, 0, 2*g.m)
+	for u, as := range g.adj {
+		back = append(back, as...)
+		c.adj[u] = back[len(back)-len(as) : len(back) : len(back)]
 	}
-	c.m = g.m
 	return c
 }
 
@@ -248,13 +278,13 @@ func (g *Graph) Clone() *Graph {
 // weights and DP costs stay reproducible despite float non-associativity.
 func (g *Graph) CutWeight(inP func(v int) bool) float64 {
 	var s float64
-	for u := range g.adj {
+	for u, as := range g.adj {
 		if !inP(u) {
 			continue
 		}
-		for _, v := range g.nbr[u] {
-			if !inP(v) {
-				s += g.adj[u][v]
+		for _, a := range as {
+			if !inP(a.v) {
+				s += a.w
 			}
 		}
 	}
@@ -282,10 +312,10 @@ func (g *Graph) Components() [][]int {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
+			for _, a := range g.adj[v] {
+				if !seen[a.v] {
+					seen[a.v] = true
+					stack = append(stack, a.v)
 				}
 			}
 		}
@@ -315,11 +345,14 @@ func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int) {
 		sub.demands[i] = g.demands[v]
 	}
 	for i, v := range orig {
-		// Insertion-ordered iteration keeps the subgraph's own neighbor
-		// order (and thus downstream float sums) deterministic.
-		for _, u := range g.nbr[v] {
-			if j, ok := idx[u]; ok && i < j {
-				sub.AddEdge(i, j, g.adj[v][u])
+		// Walking v's list in order keeps the subgraph's own neighbour
+		// order (and thus downstream float sums) deterministic. Each
+		// pair comes up once, so nothing merges and no list is scanned.
+		for _, a := range g.adj[v] {
+			if j, ok := idx[a.v]; ok && i < j {
+				sub.adj[i] = append(sub.adj[i], neighbor{j, a.w})
+				sub.adj[j] = append(sub.adj[j], neighbor{i, a.w})
+				sub.m++
 			}
 		}
 	}
@@ -333,19 +366,25 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: adj/demand length mismatch %d != %d", len(g.adj), len(g.demands))
 	}
 	count := 0
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
+	listed := make([]int, g.N()) // listed[v] == u+1: v already seen in u's list
+	for u, as := range g.adj {
+		for _, a := range as {
+			v, w := a.v, a.w
 			if v < 0 || v >= g.N() {
 				return fmt.Errorf("graph: edge %d-%d out of range", u, v)
 			}
 			if v == u {
 				return fmt.Errorf("graph: self-loop at %d", u)
 			}
-			back, ok := g.adj[v][u]
-			if !ok {
+			if listed[v] == u+1 {
+				return fmt.Errorf("graph: neighbour %d listed twice for %d", v, u)
+			}
+			listed[v] = u + 1
+			j := g.find(v, u)
+			if j < 0 {
 				return fmt.Errorf("graph: edge %d-%d missing reverse entry", u, v)
 			}
-			if back != w {
+			if back := g.adj[v][j].w; back != w {
 				return fmt.Errorf("graph: asymmetric weight on %d-%d: %v vs %v", u, v, w, back)
 			}
 			if w < 0 || math.IsNaN(w) {
@@ -364,21 +403,24 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: invalid demand %v at vertex %d", d, v)
 		}
 	}
-	for u := range g.nbr {
-		if len(g.nbr[u]) != len(g.adj[u]) {
-			return fmt.Errorf("graph: neighbor list of %d has %d entries, adjacency %d", u, len(g.nbr[u]), len(g.adj[u]))
-		}
-		for _, v := range g.nbr[u] {
-			if _, ok := g.adj[u][v]; !ok {
-				return fmt.Errorf("graph: neighbor list of %d contains %d not in adjacency", u, v)
-			}
-		}
-	}
 	return nil
 }
 
 func (g *Graph) check(v int) {
 	if v < 0 || v >= g.N() {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, g.N()))
+	}
+}
+
+// checkEdge panics on what AddEdge rejects: out-of-range endpoints,
+// self-loops, and negative or NaN weights.
+func (g *Graph) checkEdge(u, v int, w float64) {
+	g.check(u)
+	g.check(v)
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
+	}
+	if w < 0 || math.IsNaN(w) {
+		panic(fmt.Sprintf("graph: invalid edge weight %v", w))
 	}
 }

@@ -62,6 +62,33 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
+func TestFromEdgesPanics(t *testing.T) {
+	cases := []struct {
+		name    string
+		e       Edge
+		wantMsg string
+	}{
+		{"self-loop", Edge{1, 1, 1}, "self-loop"},
+		{"negative", Edge{0, 1, -1}, "invalid edge weight"},
+		{"NaN", Edge{0, 1, math.NaN()}, "invalid edge weight"},
+		{"out of range", Edge{0, 9, 1}, "out of range"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected panic")
+				}
+				if !strings.Contains(r.(string), c.wantMsg) {
+					t.Fatalf("panic %q does not contain %q", r, c.wantMsg)
+				}
+			}()
+			FromEdges(3, []Edge{{0, 2, 1}, c.e})
+		})
+	}
+}
+
 func TestDemands(t *testing.T) {
 	g := New(2)
 	g.SetDemand(0, 0.25)
@@ -176,29 +203,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCSR(t *testing.T) {
-	g := New(4)
-	g.SetDemand(0, 0.1)
-	g.AddEdge(0, 2, 3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 2)
-	c := g.ToCSR()
-	if c.N() != 4 {
-		t.Fatalf("CSR N = %d", c.N())
-	}
-	adj, w := c.Row(0)
-	if len(adj) != 2 || adj[0] != 1 || adj[1] != 2 || w[0] != 1 || w[1] != 3 {
-		t.Fatalf("row 0 = %v %v", adj, w)
-	}
-	if c.Demand[0] != 0.1 {
-		t.Fatalf("CSR demand = %v", c.Demand[0])
-	}
-	adj3, _ := c.Row(3)
-	if len(adj3) != 1 || adj3[0] != 2 {
-		t.Fatalf("row 3 = %v", adj3)
 	}
 }
 

@@ -38,7 +38,8 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var g *graph.Graph
+	var g *graph.Graph // the vertices and demands; edges gather in es
+	var es []graph.Edge
 	line := 0
 	for sc.Scan() {
 		line++
@@ -56,7 +57,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("instio: line %d: bad vertex count %q", line, fields[1])
 			}
-			g = graph.New(n)
+			g, es = graph.New(n), nil
 		case "d":
 			if g == nil {
 				return nil, fmt.Errorf("instio: line %d: 'd' before 'n'", line)
@@ -86,7 +87,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			if u < 0 || u >= g.N() || v < 0 || v >= g.N() || u == v || w < 0 {
 				return nil, fmt.Errorf("instio: line %d: invalid edge %d-%d (%v)", line, u, v, w)
 			}
-			g.AddEdge(u, v, w)
+			es = append(es, graph.Edge{U: u, V: v, Weight: w})
 		default:
 			return nil, fmt.Errorf("instio: line %d: unknown directive %q", line, fields[0])
 		}
@@ -97,7 +98,18 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	if g == nil {
 		return nil, fmt.Errorf("instio: missing 'n' line")
 	}
-	return g, nil
+	return withEdges(g, es), nil
+}
+
+// withEdges returns a graph with g's vertices and demands and the edges
+// es, built by graph.FromEdges: AddEdge per edge scans a neighbour list,
+// which is quadratic on dense inputs.
+func withEdges(g *graph.Graph, es []graph.Edge) *graph.Graph {
+	out := graph.FromEdges(g.N(), es)
+	for v := 0; v < g.N(); v++ {
+		out.SetDemand(v, g.Demand(v))
+	}
+	return out
 }
 
 // WriteMETIS writes g in a METIS-like adjacency format with vertex and
@@ -139,7 +151,8 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 	hasVW := len(flags) >= 2 && flags[len(flags)-2] == '1'
 	hasEW := flags[len(flags)-1] == '1'
 
-	g := graph.New(n)
+	g := graph.New(n) // the vertices and demands; edges gather in es
+	var es []graph.Edge
 	for v := 0; v < n; v++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("instio: METIS file truncated at vertex %d", v+1)
@@ -175,11 +188,11 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 				i++
 			}
 			if u-1 > v { // add each undirected edge once
-				g.AddEdge(v, u-1, w)
+				es = append(es, graph.Edge{U: v, V: u - 1, Weight: w})
 			}
 		}
 	}
-	return g, sc.Err()
+	return withEdges(g, es), sc.Err()
 }
 
 // HierarchySpec is the JSON form of a hierarchy.
@@ -237,19 +250,22 @@ func (inst Instance) Materialize() (*graph.Graph, *hierarchy.Hierarchy, error) {
 	if inst.N < 0 || len(inst.Demands) > inst.N {
 		return nil, nil, fmt.Errorf("instio: inconsistent instance sizes")
 	}
-	g := graph.New(inst.N)
 	for v, d := range inst.Demands {
 		if d < 0 {
 			return nil, nil, fmt.Errorf("instio: negative demand at vertex %d", v)
 		}
-		g.SetDemand(v, d)
 	}
+	es := make([]graph.Edge, len(inst.Edges))
 	for i, e := range inst.Edges {
 		u, v, w := int(e[0]), int(e[1]), e[2]
 		if u < 0 || u >= inst.N || v < 0 || v >= inst.N || u == v || w < 0 {
 			return nil, nil, fmt.Errorf("instio: bad edge #%d: %v", i, e)
 		}
-		g.AddEdge(u, v, w)
+		es[i] = graph.Edge{U: u, V: v, Weight: w}
+	}
+	g := graph.FromEdges(inst.N, es)
+	for v, d := range inst.Demands {
+		g.SetDemand(v, d)
 	}
 	return g, h, nil
 }
