@@ -69,12 +69,9 @@ func TestClusterFailoverSoak(t *testing.T) {
 			"-drain-wait", "20s",
 			"-peers", peerList,
 			"-self", peers[i],
-			// Tight peer budgets: a dead owner must cost a request well
-			// under its deadline (250ms/attempt, one retry), and the
-			// breaker must recover within the soak (1s cooldown).
+			// Tight peer budget: a dead owner must cost a request well
+			// under its deadline (250ms per attempt, two attempts).
 			"-peer-timeout", "250ms",
-			"-peer-retries", "1",
-			"-peer-breaker-cooldown", "1s",
 			// The soak runs the cluster authenticated, as production
 			// should: every peer fetch/push/health exchange carries the
 			// shared secret end-to-end through real binaries.
@@ -188,8 +185,8 @@ func TestClusterFailoverSoak(t *testing.T) {
 		t.Fatal("failover phase recorded no endpoint failovers; was the node really killed mid-load?")
 	}
 
-	// Survivors must have demoted the dead peer by now (health poll or
-	// breaker — either way it is out of the routing set).
+	// Survivors must have demoted the dead peer by now (a failed poll
+	// or a failed call — either way it is out of the routing set).
 	for _, base := range bases[1:] {
 		waitStat(t, base, 15*time.Second, func(st soakStats) bool {
 			return !peerHealthyOn(st, peers[0])
@@ -453,8 +450,6 @@ func TestClusterReplicationSoak(t *testing.T) {
 			"-self", peers[i],
 			"-replication", "2",
 			"-peer-timeout", "250ms",
-			"-peer-retries", "1",
-			"-peer-breaker-cooldown", "1s",
 			"-peer-secret", "replication-soak-secret",
 		)
 	}

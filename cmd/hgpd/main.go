@@ -53,15 +53,13 @@ func main() {
 		maxHeap      = flag.Int64("max-heap-bytes", 0, "memory-pressure breaker threshold on the live heap (0 = disabled)")
 		canonFlag    = flag.Bool("canon", false, "canonical-form graph fingerprinting: key caches by a label-invariant fingerprint so isomorphic (relabelled) submissions share entries; responses carry canon_hit")
 
-		peersFlag    = flag.String("peers", "", "cluster mode: comma-separated base URLs of EVERY member of the shard group, including this daemon's own (see -self); each cache key is homed on its top-R rendezvous-hash owners (see -replication), non-replicas fetch from them and push local builds back")
-		peersFile    = flag.String("peers-file", "", "cluster mode: read the peer list from this file instead of -peers (whitespace/comma separated, # comments); SIGHUP — or an observed mtime change — re-reads it and reloads membership without a restart")
-		selfFlag     = flag.String("self", "", "this daemon's own entry in the peer list (the base URL peers reach it at); required with -peers/-peers-file")
-		replication  = flag.Int("replication", 1, "replicas per cache key: each key lives on its top-R rendezvous-hash peers (clamped to the cluster size); 1 = single ownership")
-		peerTimeout  = flag.Duration("peer-timeout", 2*time.Second, "per-attempt timeout for peer fetches and pushes")
-		peerRetries  = flag.Int("peer-retries", 2, "retries after a failed peer fetch attempt (attempts = retries+1, jittered exponential backoff between them)")
-		peerCooldown = flag.Duration("peer-breaker-cooldown", 2*time.Second, "how long a peer's fetch breaker fast-fails after opening (3 consecutive failures) before a half-open probe")
-		peerSecret   = flag.String("peer-secret", "", "cluster shared secret: every /v1/peer/* request must carry it (X-Hgpd-Peer-Secret; wrong or missing = 403) and outgoing peer traffic attaches it; all peers must share one value; falls back to the HGPD_PEER_SECRET env var (keeps the secret off the process list); empty = unauthenticated, safe ONLY on a network unreachable by untrusted clients")
-		repairEvery  = flag.Duration("repair-interval", 30*time.Second, "how often the anti-entropy sweep exchanges key digests with peers and pulls entries this daemon's replicas are missing (the sweep also runs at startup and when a peer recovers; must be > 0)")
+		peersFlag   = flag.String("peers", "", "cluster mode: comma-separated base URLs of EVERY member of the shard group, including this daemon's own (see -self); each cache key is homed on its top-R rendezvous-hash owners (see -replication), non-replicas fetch from them and push local builds back")
+		peersFile   = flag.String("peers-file", "", "cluster mode: read the peer list from this file instead of -peers (whitespace/comma separated, # comments); SIGHUP — or an observed mtime change — re-reads it and reloads membership without a restart")
+		selfFlag    = flag.String("self", "", "this daemon's own entry in the peer list (the base URL peers reach it at); required with -peers/-peers-file")
+		replication = flag.Int("replication", 1, "replicas per cache key: each key lives on its top-R rendezvous-hash peers (clamped to the cluster size); 1 = single ownership")
+		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-attempt timeout for peer fetches, pushes and repair pulls (at most two attempts each)")
+		peerSecret  = flag.String("peer-secret", "", "cluster shared secret: every /v1/peer/* request must carry it (X-Hgpd-Peer-Secret; wrong or missing = 403) and outgoing peer traffic attaches it; all peers must share one value; falls back to the HGPD_PEER_SECRET env var (keeps the secret off the process list); empty = unauthenticated, safe ONLY on a network unreachable by untrusted clients")
+		repairEvery = flag.Duration("repair-interval", 30*time.Second, "how often the anti-entropy sweep exchanges key digests with peers and pulls entries this daemon's replicas are missing (the sweep also runs at startup and when a peer recovers; must be > 0)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -92,8 +90,7 @@ func main() {
 		}
 		peers = filePeers
 	}
-	if err := validateClusterFlags(peers, *selfFlag, *cacheSize, *peerTimeout, *peerRetries, *peerCooldown,
-		*replication, *repairEvery); err != nil {
+	if err := validateClusterFlags(peers, *selfFlag, *cacheSize, *peerTimeout, *replication, *repairEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "hgpd: %v\n", err)
 		os.Exit(2)
 	}
@@ -116,14 +113,12 @@ func main() {
 		MaxHeapBytes:       *maxHeap,
 		Canon:              *canonFlag,
 
-		Peers:               peers,
-		Self:                *selfFlag,
-		Replication:         *replication,
-		PeerTimeout:         *peerTimeout,
-		PeerRetries:         *peerRetries,
-		PeerBreakerCooldown: *peerCooldown,
-		PeerSecret:          secret,
-		RepairInterval:      *repairEvery,
+		Peers:          peers,
+		Self:           *selfFlag,
+		Replication:    *replication,
+		PeerTimeout:    *peerTimeout,
+		PeerSecret:     secret,
+		RepairInterval: *repairEvery,
 	})
 	if err != nil {
 		log.Fatalf("hgpd: %v", err)
@@ -310,8 +305,7 @@ func watchPeersFile(path string, hup <-chan os.Signal, reload func([]string) err
 // consistency. server.New re-validates (tests construct Config
 // directly), but catching operator typos here yields a flag-named
 // message and exit code 2 instead of a runtime error.
-func validateClusterFlags(peers []string, self string, cacheSize int, peerTimeout time.Duration, peerRetries int, peerCooldown time.Duration,
-	replication int, repairEvery time.Duration) error {
+func validateClusterFlags(peers []string, self string, cacheSize int, peerTimeout time.Duration, replication int, repairEvery time.Duration) error {
 	if len(peers) == 0 {
 		if self != "" {
 			return fmt.Errorf("-self %q: requires -peers or -peers-file", self)
@@ -327,10 +321,6 @@ func validateClusterFlags(peers []string, self string, cacheSize int, peerTimeou
 		return fmt.Errorf("cluster mode requires caching: -cache must not be -1")
 	case peerTimeout <= 0:
 		return fmt.Errorf("-peer-timeout %v: must be > 0", peerTimeout)
-	case peerRetries < 0:
-		return fmt.Errorf("-peer-retries %d: must be >= 0", peerRetries)
-	case peerCooldown <= 0:
-		return fmt.Errorf("-peer-breaker-cooldown %v: must be > 0", peerCooldown)
 	case replication < 1:
 		// R greater than the cluster size is fine (the ring clamps it);
 		// R below 1 cannot mean anything.

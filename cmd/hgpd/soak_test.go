@@ -404,8 +404,6 @@ func TestFlagValidation(t *testing.T) {
 		{"self not in peers", []string{"-peers", "http://a:1,http://b:2", "-self", "http://c:3"}},
 		{"peers without cache", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-cache", "-1"}},
 		{"zero peer-timeout", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-peer-timeout", "0s"}},
-		{"negative peer-retries", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-peer-retries", "-1"}},
-		{"zero peer-breaker-cooldown", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-peer-breaker-cooldown", "0s"}},
 		{"replication below 1", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-replication", "0"}},
 		{"negative repair-interval", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-repair-interval", "-1s"}},
 		{"zero repair-interval", []string{"-peers", "http://a:1,http://b:2", "-self", "http://a:1", "-repair-interval", "0s"}},

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/url"
 	"sync"
 	"sync/atomic"
@@ -16,11 +17,11 @@ import (
 )
 
 // cluster is the daemon's view of its shard group: the HRW ring that
-// ranks every cache key's replica set, a peerClient per remote peer
-// (retry/backoff/breaker), a health poller that sheds dead/draining/
-// overloaded peers at routing time, and the replica-ward push
-// machinery that keeps "exactly one build per key cluster-wide" true
-// even when a non-replica is the first to see a key.
+// ranks every cache key's replica set, a peerClient per remote peer,
+// a health table holding each peer's one routability verdict (written
+// by the health poller and by failed peer calls, see call), and the
+// replica-ward push machinery that keeps "exactly one build per key
+// cluster-wide" true even when a non-replica is the first to see a key.
 //
 // Replication (R = cfg.Replication, default 1) generalizes PR-era
 // single ownership: each key's home is its top-R HRW peers in rank
@@ -36,10 +37,10 @@ import (
 //     and on its interval (entries are content-addressed and
 //     immutable, so repair is conflict-free by construction);
 //   - dynamic membership: reload atomically swaps in a new ring
-//     (SIGHUP / -peers-file in hgpd), reusing surviving peer clients
-//     and their breaker state, and kicks a repair sweep to warm the
-//     new replica sets — HRW's minimal-movement property bounds the
-//     churn.
+//     (SIGHUP / -peers-file in hgpd), keeping surviving peers'
+//     clients and health verdicts, and kicks a repair sweep to warm
+//     the new replica sets — HRW's minimal-movement property bounds
+//     the churn.
 //
 // Failure philosophy: the cluster is an accelerator, never a
 // dependency. Every fetch outcome except a hit falls back to the local
@@ -66,11 +67,11 @@ type cluster struct {
 
 	mu sync.Mutex
 	// ring and clients are swapped together under mu by reload; the
-	// ring itself stays immutable. health holds the last poll's verdict
-	// per remote peer — peers start routable (optimistic): a freshly
-	// started or freshly added peer should receive fetches immediately,
-	// and a dead one is demoted by its first failed poll or by the
-	// fetch breaker, whichever fires first.
+	// ring itself stays immutable. health is each remote peer's one
+	// verdict — peers start routable (optimistic): a freshly started or
+	// freshly added peer should receive fetches immediately, and a dead
+	// one is demoted by its first failed poll or its first failed call,
+	// whichever comes first. Only a clean poll restores it.
 	ring    *ring
 	clients map[string]*peerClient // keyed by peer base URL; self excluded
 	health  map[string]bool
@@ -146,7 +147,6 @@ func newCluster(cfg Config) (*cluster, error) {
 		c.clients[p] = c.newClient(p)
 		c.health[p] = true
 		c.reg.Gauge(telemetry.Series("peer_healthy", "peer", p)).Set(1)
-		c.reg.Gauge(telemetry.Series("peer_breaker_state", "peer", p)).Set(int64(breakerClosed))
 	}
 	// Pre-register the full outcome families at zero: scrapers should
 	// never see a series pop into existence mid-flight.
@@ -175,8 +175,7 @@ func newCluster(cfg Config) (*cluster, error) {
 // newClient builds the peerClient for one remote peer from the knobs
 // the cluster was configured with — shared by startup and reload.
 func (c *cluster) newClient(peer string) *peerClient {
-	return newPeerClient(peer, c.cfg.PeerTimeout, c.cfg.PeerRetries, c.cfg.PeerBackoff,
-		c.cfg.PeerBreakerThreshold, c.cfg.PeerBreakerCooldown, c.cfg.PeerSecret)
+	return newPeerClient(peer, c.cfg.PeerTimeout, c.cfg.PeerSecret)
 }
 
 // startMaintenance wires the cluster to its owning server and starts
@@ -238,14 +237,60 @@ func (c *cluster) countFetch(o fetchOutcome) {
 	c.reg.Counter(telemetry.Series("peer_fetch_total", "outcome", string(o))).Inc()
 }
 
+// peerRetryPause is the base of the one pause between a call's two
+// attempts, jittered to [0.5, 1.5)× — 25–75 ms. Jitter decorrelates
+// the retries of calls that failed at the same instant: a daemon kill
+// makes every in-flight call fail together.
+const peerRetryPause = 50 * time.Millisecond
+
+// call runs one peer call — a fetch, a push or a repair pull — as at
+// most two attempts, and keeps the health table's verdict on peer.
+// attempt reports whether the peer failed it and whether another
+// attempt may go better; the retry waits out one jittered pause and is
+// skipped if the peer has been demoted in the meantime. A call whose
+// attempts all failed demotes the peer until a clean poll restores it.
+// A call cut short by the caller's own context (client gone, request
+// deadline) is not the peer's fault: it neither retries nor demotes.
+// call reports whether the peer failed the call.
+func (c *cluster) call(ctx context.Context, peer string, attempt func() (failed, retryable bool)) bool {
+	failed, retryable := attempt()
+	if failed && retryable && ctx.Err() == nil {
+		t := time.NewTimer(time.Duration(float64(peerRetryPause) * (0.5 + rand.Float64())))
+		select {
+		case <-t.C:
+			if c.routable(peer) {
+				failed, _ = attempt()
+			}
+		case <-ctx.Done():
+			t.Stop()
+		}
+	}
+	if failed && ctx.Err() == nil {
+		c.setRoutable(peer, false)
+	}
+	return failed
+}
+
+// fetch runs one fetch of path from peer through call and returns the
+// last attempt's value and outcome. hit and miss are answers; every
+// other outcome is the peer's failure.
+func (c *cluster) fetch(ctx context.Context, peer string, pc *peerClient, path string, decode func([]byte) (any, error)) (val any, outcome fetchOutcome) {
+	c.call(ctx, peer, func() (bool, bool) {
+		var retryable bool
+		val, outcome, retryable = pc.fetch(ctx, path, decode)
+		return outcome != outcomeHit && outcome != outcomeMiss, retryable
+	})
+	return val, outcome
+}
+
 // fetchFrom walks key's replicas in rank order and fetches path from
 // the first routable one that answers with a validated entry, running
 // decode (the entry-layer parser) inside the client's outcome
-// classification — one peer_fetch_total row and one breaker verdict
-// per peer attempted. Any non-hit outcome walks on to the next
-// replica: a definitive miss on one replica says nothing about the
-// others (pushes or repair may not have converged yet), and
-// an error is exactly the node-loss case replication exists for. A nil
+// classification — one peer_fetch_total row per peer attempted. Any
+// non-hit outcome walks on to the next replica: a definitive miss on
+// one replica says nothing about the others (pushes or repair may not
+// have converged yet), and an error is exactly the node-loss case
+// replication exists for. A nil
 // return means "solve locally" — the caller never needs to distinguish
 // why. With R=1 the walk visits at most the single owner, the pre-
 // replication behavior.
@@ -262,9 +307,8 @@ func (c *cluster) fetchFrom(ctx context.Context, key, path string, decode func([
 			c.countFetch(outcomePeerUnhealthy)
 			continue
 		}
-		val, outcome := pc.fetch(ctx, path, decode)
+		val, outcome := c.fetch(ctx, peer, pc, path, decode)
 		c.countFetch(outcome)
-		c.publishBreaker(peer, pc)
 		if outcome == outcomeHit {
 			return val
 		}
@@ -274,8 +318,8 @@ func (c *cluster) fetchFrom(ctx context.Context, key, path string, decode func([
 
 // fetchDecomp asks key's replicas for its decomposition entry. ok is
 // true only when a validated entry arrived; every other outcome (miss,
-// error, corruption — frame or entry layer — version skew, breaker,
-// unhealthy replicas) is a silent fallback to the local build.
+// error, corruption — frame or entry layer — version skew, unhealthy
+// replicas) is a silent fallback to the local build.
 func (c *cluster) fetchDecomp(ctx context.Context, key string) (*cache.DecompEntry, bool) {
 	v := c.fetchFrom(ctx, key, peerPath(peerKindDecomp, key), decodeDecompPayload)
 	if v == nil {
@@ -332,9 +376,9 @@ func decodeResultPayload(payload []byte) (any, error) {
 // synchronously — before this function returns — so a caller (or test)
 // that polls the gauge to zero after issuing requests has a race-free
 // "all pushes settled" barrier. A replica that is unroutable at routing
-// time is skipped, and one whose push fails after retries is counted
-// in peer_push_total{outcome="error"}; either way the replica pulls
-// the entry on its next repair sweep.
+// time is skipped, and one whose push fails (and is demoted, see call)
+// is counted in peer_push_total{outcome="error"}; either way the
+// replica pulls the entry on its next repair sweep.
 func (c *cluster) pushTo(kind, key string, payload []byte) {
 	body := diskstore.WrapWire(payload)
 	for _, peer := range c.replicasOf(key) {
@@ -350,22 +394,17 @@ func (c *cluster) pushTo(kind, key string, payload []byte) {
 		go func(peer string, pc *peerClient) {
 			defer c.pushWG.Done()
 			defer c.reg.Gauge("peer_push_inflight").Add(-1)
-			ctx, cancel := context.WithTimeout(context.Background(), pushBudget(pc))
-			defer cancel()
-			if pc.push(ctx, peerPath(kind, key), body) {
-				c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "ok")).Inc()
-			} else {
-				c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "error")).Inc()
+			ctx := context.Background()
+			outcome := "ok"
+			if c.call(ctx, peer, func() (bool, bool) {
+				ok, retryable := pc.push(ctx, peerPath(kind, key), body)
+				return !ok, retryable
+			}) {
+				outcome = "error"
 			}
-			c.publishBreaker(peer, pc)
+			c.reg.Counter(telemetry.Series("peer_push_total", "outcome", outcome)).Inc()
 		}(peer, pc)
 	}
-}
-
-// pushBudget bounds one push operation end to end: every attempt plus
-// every backoff sleep.
-func pushBudget(pc *peerClient) time.Duration {
-	return time.Duration(pc.retries+1) * (pc.timeout + pc.backoff*8)
 }
 
 // pushDecomp replicates a locally built decomposition entry to key's
@@ -442,21 +481,23 @@ func (c *cluster) repairSweep() {
 			c.reg.Counter("repair_pull_errors_total").Inc()
 			continue
 		}
-		pulled += c.repairPull(pc, peerKindDecomp, view.Decomp, repairMaxPulls-pulled)
-		pulled += c.repairPull(pc, peerKindResult, view.Result, repairMaxPulls-pulled)
+		pulled += c.repairPull(peer, pc, peerKindDecomp, view.Decomp, repairMaxPulls-pulled)
+		pulled += c.repairPull(peer, pc, peerKindResult, view.Result, repairMaxPulls-pulled)
 	}
 }
 
 // repairPull pulls up to budget missing entries of one kind from one
-// peer, returning how many landed.
-func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget int) int {
+// peer, returning how many landed. It stops once the peer is demoted
+// (by a failed pull or by the poller): the rest of its list waits for
+// a later sweep instead of grinding against a struggling peer.
+func (c *cluster) repairPull(peer string, pc *peerClient, kind string, keys []string, budget int) int {
 	decode, have, store := decodeDecompPayload, c.srv.hasDecompLocal, c.srv.storeDecompLocal
 	if kind == peerKindResult {
 		decode, have, store = decodeResultPayload, c.srv.hasResultLocal, c.srv.storeResultLocal
 	}
 	pulled := 0
 	for _, key := range keys {
-		if pulled >= budget {
+		if pulled >= budget || !c.routable(peer) {
 			break
 		}
 		select {
@@ -476,16 +517,9 @@ func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget 
 			c.reg.Counter("repair_pull_errors_total").Inc()
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), pushBudget(pc))
-		val, outcome := pc.fetch(ctx, peerPath(kind, key), decode)
-		cancel()
+		val, outcome := c.fetch(context.Background(), peer, pc, peerPath(kind, key), decode)
 		if outcome != outcomeHit {
 			c.reg.Counter("repair_pull_errors_total").Inc()
-			if outcome == outcomeBreakerOpen || outcome == outcomeError {
-				// The peer is struggling; take the rest of its list on
-				// a later sweep instead of grinding through it now.
-				break
-			}
 			continue
 		}
 		store(key, val)
@@ -497,9 +531,9 @@ func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget 
 
 // reload atomically replaces the cluster membership: validation first
 // (a bad list leaves the old membership untouched), then the ring and
-// client set swap under one lock acquisition. Clients of surviving
-// peers are reused — their breaker state and health verdicts describe
-// the peer, not the membership epoch — new peers start optimistically
+// client set swap under one lock acquisition. Clients and health
+// verdicts of surviving peers are kept — they describe the peer, not
+// the membership epoch — new peers start optimistically
 // routable exactly like startup, and removed peers' clients, health
 // verdicts, and gauges are dropped. A repair sweep is kicked so newly
 // acquired replica sets warm without waiting for the next interval;
@@ -536,11 +570,9 @@ func (c *cluster) reload(peers []string) error {
 
 	for _, p := range added {
 		c.reg.Gauge(telemetry.Series("peer_healthy", "peer", p)).Set(1)
-		c.reg.Gauge(telemetry.Series("peer_breaker_state", "peer", p)).Set(int64(breakerClosed))
 	}
 	for _, p := range removed {
 		c.reg.DropGauge(telemetry.Series("peer_healthy", "peer", p))
-		c.reg.DropGauge(telemetry.Series("peer_breaker_state", "peer", p))
 	}
 	c.reg.Counter("membership_reloads_total").Inc()
 	c.reg.Gauge("cluster_peers").Set(int64(len(r.members())))
@@ -548,18 +580,20 @@ func (c *cluster) reload(peers []string) error {
 	return nil
 }
 
-// routable reports the last poll's verdict for peer (optimistically
-// true before the first poll completes).
+// routable reports peer's verdict in the health table (optimistically
+// true before the first poll or call says otherwise).
 func (c *cluster) routable(peer string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.health[peer]
 }
 
-// setRoutable records a poll verdict. A peer that turns routable after
-// being unroutable kicks a repair sweep: whatever it missed while cut
-// off, or whatever this daemon missed from it, heals now rather than
-// at the next interval.
+// setRoutable records a verdict: a poll's (either way) or a failed
+// call's (false). Request goroutines, pushes, the repair sweep and the
+// poller all write it. A peer that turns routable after being
+// unroutable kicks a repair sweep: whatever it missed while cut off,
+// or whatever this daemon missed from it, heals now rather than at the
+// next interval.
 func (c *cluster) setRoutable(peer string, ok bool) {
 	c.mu.Lock()
 	if _, member := c.clients[peer]; !member {
@@ -581,15 +615,12 @@ func (c *cluster) setRoutable(peer string, ok bool) {
 	}
 }
 
-func (c *cluster) publishBreaker(peer string, pc *peerClient) {
-	c.reg.Gauge(telemetry.Series("peer_breaker_state", "peer", peer)).Set(int64(pc.brk.snapshot()))
-}
-
 // pollLoop gossips each remote peer's /v1/peer/health on the
 // configured interval, updating the routing-time shed verdicts. One
-// failed or unhealthy poll sheds a peer; one clean poll restores it —
-// the fetch breaker provides the hysteresis, the poller provides the
-// freshest signal.
+// failed or unhealthy poll sheds a peer; one clean poll restores it,
+// whether a poll or a failed call demoted it. A peer that passes polls
+// but fails calls (version skew during a rollout) is thus restored and
+// demoted once per poll interval.
 func (c *cluster) pollLoop() {
 	defer c.loopWG.Done()
 	t := time.NewTicker(c.pollInterval)
@@ -600,26 +631,29 @@ func (c *cluster) pollLoop() {
 			return
 		case <-t.C:
 		}
-		c.mu.Lock()
-		snapshot := make(map[string]*peerClient, len(c.clients))
-		for peer, pc := range c.clients {
-			snapshot[peer] = pc
-		}
-		c.mu.Unlock()
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for peer, pc := range snapshot {
-			wg.Add(1)
-			go func(peer string, pc *peerClient) {
-				defer wg.Done()
-				hv, err := pc.health(ctx)
-				c.setRoutable(peer, err == nil && hv.routable())
-				c.publishBreaker(peer, pc)
-			}(peer, pc)
-		}
-		wg.Wait()
-		cancel()
+		c.poll()
 	}
+}
+
+// poll gossips every remote peer's /v1/peer/health once, in parallel,
+// and records each verdict.
+func (c *cluster) poll() {
+	c.mu.Lock()
+	snapshot := make(map[string]*peerClient, len(c.clients))
+	for peer, pc := range c.clients {
+		snapshot[peer] = pc
+	}
+	c.mu.Unlock()
+	var wg sync.WaitGroup
+	for peer, pc := range snapshot {
+		wg.Add(1)
+		go func(peer string, pc *peerClient) {
+			defer wg.Done()
+			hv, err := pc.health(context.Background())
+			c.setRoutable(peer, err == nil && hv.routable())
+		}(peer, pc)
+	}
+	wg.Wait()
 }
 
 // peerFetchMark is a context-carried flag recording that a request's
@@ -654,9 +688,6 @@ type clusterPeerStats struct {
 	Peer    string `json:"peer"`
 	Self    bool   `json:"self,omitempty"`
 	Healthy bool   `json:"healthy"`
-	// Breaker is this daemon's fetch breaker toward the peer
-	// (0 closed, 1 open, 2 half-open); always 0 for self.
-	Breaker int64 `json:"breaker"`
 }
 
 // clusterStats is the always-present `cluster` block of /v1/stats.
@@ -679,7 +710,7 @@ type clusterStats struct {
 	FetchMisses    int64 `json:"fetch_misses,omitempty"`
 	FetchErrors    int64 `json:"fetch_errors,omitempty"`
 	FetchRejected  int64 `json:"fetch_rejected,omitempty"` // corrupt + version_mismatch
-	FetchShed      int64 `json:"fetch_shed,omitempty"`     // breaker_open + peer_unhealthy
+	FetchShed      int64 `json:"fetch_shed,omitempty"`     // peer_unhealthy
 	PushOK         int64 `json:"push_ok,omitempty"`
 	PushErrors     int64 `json:"push_errors,omitempty"`
 	PushesInflight int64 `json:"pushes_inflight"`
@@ -704,7 +735,7 @@ func (c *cluster) stats() clusterStats {
 		FetchMisses:       get(outcomeMiss),
 		FetchErrors:       get(outcomeError),
 		FetchRejected:     get(outcomeCorrupt) + get(outcomeVersionMismatch),
-		FetchShed:         get(outcomeBreakerOpen) + get(outcomePeerUnhealthy),
+		FetchShed:         get(outcomePeerUnhealthy),
 		PushOK:            c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "ok")).Value(),
 		PushErrors:        c.reg.Counter(telemetry.Series("peer_push_total", "outcome", "error")).Value(),
 		PushesInflight:    c.reg.Gauge("peer_push_inflight").Value(),
@@ -714,17 +745,7 @@ func (c *cluster) stats() clusterStats {
 		MembershipReloads: c.reg.Counter("membership_reloads_total").Value(),
 	}
 	for _, p := range c.snapshotRing().members() {
-		row := clusterPeerStats{Peer: p}
-		if p == c.self {
-			row.Self = true
-			row.Healthy = true
-		} else {
-			row.Healthy = c.routable(p)
-			if pc := c.client(p); pc != nil {
-				row.Breaker = int64(pc.brk.snapshot())
-			}
-		}
-		cs.Peers = append(cs.Peers, row)
+		cs.Peers = append(cs.Peers, clusterPeerStats{Peer: p, Self: p == c.self, Healthy: p == c.self || c.routable(p)})
 	}
 	return cs
 }

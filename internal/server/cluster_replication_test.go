@@ -101,9 +101,7 @@ func TestClusterReplicaFetchFailover(t *testing.T) {
 		// attempts it and fails over, rather than shedding pre-wire.
 		cfg.Replication = 2
 		cfg.PeerHealthInterval = time.Hour
-		cfg.PeerBreakerCooldown = time.Hour
 		cfg.PeerTimeout = 500 * time.Millisecond
-		cfg.PeerRetries = 0
 	})
 	req := reqReplicatedOn(t, nodes, 0, 1)
 	key := decompKeyFor(t, req)
@@ -254,7 +252,6 @@ func TestClusterMembershipReload(t *testing.T) {
 			Registry:           reg,
 			Peers:              peers,
 			Self:               urls[i],
-			PeerBackoff:        5 * time.Millisecond,
 			PeerHealthInterval: 25 * time.Millisecond,
 			ResultCacheEntries: -1,
 		})

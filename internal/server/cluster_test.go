@@ -63,7 +63,6 @@ func startTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*t
 			Registry:           reg,
 			Peers:              peers,
 			Self:               peers[i],
-			PeerBackoff:        5 * time.Millisecond,
 			PeerHealthInterval: 25 * time.Millisecond,
 			ResultCacheEntries: -1,
 		}
@@ -312,31 +311,43 @@ func TestClusterCorruptPeerBodyFallsBackToLocalBuild(t *testing.T) {
 	}
 }
 
-// A dead owner costs retries once, then the per-peer breaker fast-fails
-// fetches for its cooldown — and the daemon keeps answering from local
-// builds throughout.
-func TestClusterDeadPeerOpensBreaker(t *testing.T) {
+// A dead owner costs one call of two attempts: that call demotes it,
+// the next fetch for another key it owns is shed before the wire
+// (peer_unhealthy), and the daemon keeps answering from local builds
+// throughout. Only a clean poll makes the owner routable again.
+func TestClusterDeadPeerDemoted(t *testing.T) {
 	nodes := startTestCluster(t, 2, func(i int, cfg *Config) {
-		// No gossip, long breaker: this test isolates the breaker path
-		// from routing-time health shedding.
+		// No gossip: the failed call alone must demote the owner, and
+		// the test runs the restoring poll itself.
 		cfg.PeerHealthInterval = time.Hour
-		cfg.PeerBreakerCooldown = time.Hour
-		cfg.PeerTimeout = 500 * time.Millisecond
-		cfg.PeerRetries = 1
+		cfg.PeerTimeout = 100 * time.Millisecond
 	})
 	owner, other := nodes[0], nodes[1]
-	owner.ts.Close() // SIGKILL stand-in: connections now refuse
+	// A hung owner (a stopped process, say) accepts connections but
+	// never answers, so every attempt runs out its timeout.
+	var attempts atomic.Int64
+	owner.swap.h.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/peer/decomp/") {
+			attempts.Add(1)
+		}
+		<-r.Context().Done()
+	}))
 
 	req1 := reqOwnedBy(t, nodes, 0, decompKeyFor)
 	rec := postPartition(t, other.srv.Handler(), req1)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d with dead owner, want 200 via local fallback", rec.Code)
 	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("dead owner saw %d attempts, want 2 (one call, one retry)", got)
+	}
 	if got := labeled(other.reg, "peer_fetch_total", "outcome", "error"); got != 1 {
 		t.Fatalf("peer_fetch_total{outcome=error} = %d, want 1", got)
 	}
-	// retries+1 = 2 consecutive failures < threshold 3: one more fetch
-	// (a different key, same dead owner) crosses it.
+	if other.srv.cluster.routable(owner.url) {
+		t.Fatal("a call whose attempts all failed must demote the owner")
+	}
+
 	var req2 PartitionRequest
 	for seed := int64(301); ; seed++ {
 		req2 = testRequest()
@@ -345,29 +356,158 @@ func TestClusterDeadPeerOpensBreaker(t *testing.T) {
 			break
 		}
 	}
-	postPartition(t, other.srv.Handler(), req2)
-	if got := other.srv.cluster.clients[owner.url].brk.snapshot(); got != breakerOpen {
-		t.Fatalf("peer breaker state = %d after repeated failures, want open", got)
-	}
-	// Third key: the fetch must fast-fail without touching the wire.
-	var req3 PartitionRequest
-	for seed := int64(601); ; seed++ {
-		req3 = testRequest()
-		req3.Seed = seed
-		if other.srv.cluster.ownerOf(decompKeyFor(t, req3)) == owner.url {
-			break
-		}
-	}
 	start := time.Now()
-	rec = postPartition(t, other.srv.Handler(), req3)
+	rec = postPartition(t, other.srv.Handler(), req2)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d under open breaker, want 200", rec.Code)
-	}
-	if labeled(other.reg, "peer_fetch_total", "outcome", "breaker_open") == 0 {
-		t.Fatal("open breaker must be visible in peer_fetch_total{outcome=breaker_open}")
+		t.Fatalf("status = %d with the owner demoted, want 200", rec.Code)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("open-breaker request took %v; fast-fail is the point", elapsed)
+		t.Fatalf("request against a demoted owner took %v; shedding before the wire is the point", elapsed)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("dead owner saw %d attempts after demotion, want still 2 (the shed fetch never touches the wire)", got)
+	}
+	if got := labeled(other.reg, "peer_fetch_total", "outcome", "peer_unhealthy"); got != 1 {
+		t.Fatalf("peer_fetch_total{outcome=peer_unhealthy} = %d, want 1", got)
+	}
+
+	// The owner comes back: one clean poll restores it and kicks repair.
+	sweeps := other.reg.Counter("repair_sweeps_total").Value()
+	owner.swap.h.Store(owner.srv.Handler())
+	other.srv.cluster.poll()
+	if !other.srv.cluster.routable(owner.url) {
+		t.Fatal("a clean poll must make the owner routable again")
+	}
+	waitCounter(t, other.reg, "repair_sweeps_total", sweeps+1)
+}
+
+// A fetch cut short by the caller's own deadline is not the peer's
+// fault: it neither retries nor demotes the peer, however often it
+// happens, so the next fetch still reaches the wire.
+func TestClusterCallerCancelKeepsPeerRoutable(t *testing.T) {
+	var gets atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/peer/decomp/") {
+			gets.Add(1)
+			select { // a healthy peer that answers slowly
+			case <-time.After(400 * time.Millisecond):
+			case <-r.Context().Done():
+			}
+		}
+		w.WriteHeader(http.StatusNotFound)
+	}))
+	defer stub.Close()
+
+	sw := &swapHandler{}
+	sw.h.Store(http.NotFoundHandler())
+	ts := httptest.NewServer(sw)
+	defer ts.Close()
+	reg := telemetry.NewRegistry()
+	s, err := New(Config{
+		Registry:           reg,
+		Peers:              []string{stub.URL, ts.URL},
+		Self:               ts.URL,
+		PeerHealthInterval: time.Hour, // stub has no health endpoint; stay optimistic
+		ResultCacheEntries: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = s.Shutdown(ctx)
+		cancel()
+	})
+	sw.h.Store(s.Handler())
+
+	stubReq := func(from int64) PartitionRequest {
+		for seed := from; seed < from+300; seed++ {
+			req := testRequest()
+			req.Seed = seed
+			if s.cluster.ownerOf(decompKeyFor(t, req)) == stub.URL {
+				return req
+			}
+		}
+		t.Fatal("no seed lands on the stub peer")
+		return PartitionRequest{}
+	}
+	const cancelled = 3
+	for i := 0; i < cancelled; i++ {
+		req := stubReq(int64(1 + 1000*i))
+		req.TimeoutMS = 50 // the request deadline expires mid-fetch
+		postPartition(t, s.Handler(), req)
+		if !s.cluster.routable(stub.URL) {
+			t.Fatalf("request %d: the caller's deadline demoted a healthy peer", i)
+		}
+	}
+	if got := gets.Load(); got != cancelled {
+		t.Fatalf("stub saw %d fetches for %d deadline-cut requests, want %d (no retry)", got, cancelled, cancelled)
+	}
+	rec := postPartition(t, s.Handler(), stubReq(5000))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 via local build after a miss", rec.Code)
+	}
+	if got := gets.Load(); got != cancelled+1 {
+		t.Fatalf("stub saw %d fetches, want %d: the next fetch must still reach the peer", got, cancelled+1)
+	}
+	if got := labeled(reg, "peer_fetch_total", "outcome", "miss"); got != 1 {
+		t.Fatalf("peer_fetch_total{outcome=miss} = %d, want 1", got)
+	}
+}
+
+// Request goroutines write the health table as well as the poller: many
+// concurrent fetches against a dead owner, racing a fast poller, each
+// add exactly one peer_fetch_total row and leave the owner demoted.
+func TestClusterConcurrentDemotion(t *testing.T) {
+	nodes := startTestCluster(t, 2, func(i int, cfg *Config) {
+		cfg.PeerHealthInterval = 5 * time.Millisecond
+	})
+	owner, other := nodes[0], nodes[1]
+	owner.swap.h.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	var keys []string
+	for seed := int64(1); len(keys) < 8; seed++ {
+		req := testRequest()
+		req.Seed = seed
+		if key := decompKeyFor(t, req); other.srv.cluster.ownerOf(key) == owner.url {
+			keys = append(keys, key)
+		}
+	}
+	const workers, rounds = 16, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, ok := other.srv.cluster.fetchDecomp(context.Background(), keys[(w+r)%len(keys)]); ok {
+					t.Error("a dead owner served a fetch")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var rows int64
+	for _, o := range fetchOutcomes {
+		rows += labeled(other.reg, "peer_fetch_total", "outcome", string(o))
+	}
+	if rows != workers*rounds {
+		t.Fatalf("peer_fetch_total rows = %d for %d fetches, want one each", rows, workers*rounds)
+	}
+	if got := labeled(other.reg, "peer_fetch_total", "outcome", "hit"); got != 0 {
+		t.Fatalf("peer_fetch_total{outcome=hit} = %d, want 0", got)
+	}
+	if other.srv.cluster.routable(owner.url) {
+		t.Fatal("dead owner still routable after failed calls and polls")
+	}
+	owner.swap.h.Store(owner.srv.Handler())
+	deadline := time.Now().Add(5 * time.Second)
+	for !other.srv.cluster.routable(owner.url) {
+		if time.Now().After(deadline) {
+			t.Fatal("the poller never restored the recovered owner")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -814,7 +954,7 @@ func TestClusterRejectsPartialResultPush(t *testing.T) {
 
 // A frame that validates but whose entry payload does not decode is ONE
 // corrupt fetch: one peer_fetch_total row (not hit + corrupt), and the
-// breaker debited exactly as for a frame-corrupt body.
+// peer demoted exactly as for a frame-corrupt body.
 func TestClusterEntryCorruptFetchCountsOnce(t *testing.T) {
 	// A stub "peer" serving well-framed garbage: UnwrapWire passes
 	// (checksum and versions are real), DecodeDecompEntry cannot.
@@ -833,13 +973,11 @@ func TestClusterEntryCorruptFetchCountsOnce(t *testing.T) {
 	defer ts.Close()
 	reg := telemetry.NewRegistry()
 	s, err := New(Config{
-		Registry:             reg,
-		Peers:                []string{stub.URL, ts.URL},
-		Self:                 ts.URL,
-		PeerHealthInterval:   time.Hour, // stub has no health endpoint; stay optimistic
-		PeerBreakerThreshold: 1,         // one corrupt body must open the breaker
-		PeerBreakerCooldown:  time.Hour,
-		ResultCacheEntries:   -1,
+		Registry:           reg,
+		Peers:              []string{stub.URL, ts.URL},
+		Self:               ts.URL,
+		PeerHealthInterval: time.Hour, // stub has no health endpoint; stay optimistic
+		ResultCacheEntries: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -872,8 +1010,8 @@ func TestClusterEntryCorruptFetchCountsOnce(t *testing.T) {
 	if got := labeled(reg, "peer_fetch_total", "outcome", "hit"); got != 0 {
 		t.Fatalf("peer_fetch_total{outcome=hit} = %d, want 0 (an entry-corrupt fetch is not a hit)", got)
 	}
-	if got := s.cluster.clients[stub.URL].brk.snapshot(); got != breakerOpen {
-		t.Fatalf("peer breaker state = %d after an entry-corrupt body, want open (corrupt bodies debit the breaker)", got)
+	if s.cluster.routable(stub.URL) {
+		t.Fatal("stub peer still routable after an entry-corrupt body, want demoted (corrupt bodies demote the peer)")
 	}
 }
 

@@ -27,10 +27,11 @@
 // like snapshot files) before building, and push their own builds to
 // every routable replica. Anti-entropy repair restocks a replica that
 // missed a push: it sweeps at startup, when a peer recovers, after a
-// membership reload, and on Config.RepairInterval. Retry/backoff, a
-// per-peer circuit breaker, and health gossip bound the cost of dead
-// or draining peers; every fetch failure falls back to the local
-// solve path. Sessions stay on the daemon that registered them.
+// membership reload, and on Config.RepairInterval. Each peer has one
+// routability verdict: a failed health poll demotes it, and so does a
+// peer call (at most two attempts) whose attempts all failed; only a
+// clean poll restores it. Every fetch failure falls back to the local solve path.
+// Sessions stay on the daemon that registered them.
 //
 // Main entry points: New builds a Server from a Config; Server.Handler
 // returns the http.Handler exposing /v1/partition, the /v1/graphs

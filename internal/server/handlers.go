@@ -192,7 +192,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		// The fetch runs inside the singleflight group (keyed apart from
 		// the solve coalescing below) so a miss storm on one key costs
 		// the owner one network round trip, not N concurrent fetches
-		// each paying timeout × retries against a slow peer.
+		// each paying its attempts against a slow peer.
 		if s.cluster != nil {
 			v, shared, ferr := s.rflight.Do(r.Context(), rkey+"|peerfetch", func() (any, error) {
 				res, ok := s.cluster.fetchResult(r.Context(), rkey)
@@ -446,8 +446,8 @@ type StatsResponse struct {
 	// Enabled mirrors the -canon flag and the counters stay zero while
 	// it is off.
 	Canon canonBlock `json:"canon"`
-	// Cluster is the shard-group accounting: membership health, fetch
-	// breakers, and fetch/push outcome totals. Always present; with
+	// Cluster is the shard-group accounting: membership health and
+	// fetch/push outcome totals. Always present; with
 	// clustering off only {"enabled": false} is rendered, so dashboards
 	// key on one shape everywhere.
 	Cluster clusterStats `json:"cluster"`

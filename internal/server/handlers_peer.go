@@ -133,7 +133,7 @@ func (s *Server) handlePeerDecompPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_body", err.Error())
@@ -188,7 +188,7 @@ func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_body", err.Error())

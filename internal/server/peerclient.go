@@ -7,10 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"hierpart/internal/cache/diskstore"
@@ -29,7 +27,6 @@ const (
 	outcomeError           fetchOutcome = "error"
 	outcomeCorrupt         fetchOutcome = "corrupt"
 	outcomeVersionMismatch fetchOutcome = "version_mismatch"
-	outcomeBreakerOpen     fetchOutcome = "breaker_open"
 	outcomePeerUnhealthy   fetchOutcome = "peer_unhealthy"
 )
 
@@ -37,83 +34,7 @@ const (
 // family at zero.
 var fetchOutcomes = []fetchOutcome{
 	outcomeHit, outcomeMiss, outcomeError, outcomeCorrupt,
-	outcomeVersionMismatch, outcomeBreakerOpen, outcomePeerUnhealthy,
-}
-
-// peerBreaker is a per-peer consecutive-failure circuit breaker for the
-// fetch path. Unlike the daemon's memory breaker (a resource guard),
-// this one guards latency: once a peer has failed threshold fetches in
-// a row, further fetches fast-fail to the local solve path for the
-// cooldown instead of paying timeout × retries against a dead socket.
-// After the cooldown one half-open probe is admitted; its success
-// closes the breaker, its failure re-opens it for another cooldown.
-// States reuse the daemon breaker encoding (0 closed, 1 open, 2
-// half-open) so both families read the same on a dashboard.
-type peerBreaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-
-	state       int
-	consecutive int
-	openedAt    time.Time
-	probing     bool
-}
-
-// allow reports whether a fetch may proceed, transitioning open →
-// half-open when the cooldown has elapsed. In half-open only one probe
-// is admitted at a time.
-func (b *peerBreaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if time.Since(b.openedAt) < b.cooldown {
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return true
-	default: // half-open
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// success records a completed fetch (hit or definitive miss — the peer
-// answered), closing the breaker.
-func (b *peerBreaker) success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = breakerClosed
-	b.consecutive = 0
-	b.probing = false
-}
-
-// failure records a failed fetch, opening the breaker when the
-// consecutive-failure threshold is reached (immediately when the
-// failure was a half-open probe).
-func (b *peerBreaker) failure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	wasProbe := b.state == breakerHalfOpen
-	b.probing = false
-	b.consecutive++
-	if wasProbe || b.consecutive >= b.threshold {
-		b.state = breakerOpen
-		b.openedAt = time.Now()
-	}
-}
-
-func (b *peerBreaker) snapshot() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
+	outcomeVersionMismatch, outcomePeerUnhealthy,
 }
 
 // peerHealthView is the body of GET /v1/peer/health — the signal the
@@ -159,29 +80,22 @@ func (h peerHealthView) routable() bool {
 // a peer client issues against another daemon's /v1/peer surface.
 const peerSecretHeader = "X-Hgpd-Peer-Secret"
 
-// peerClient talks to one peer's internal /v1/peer surface: bounded
-// per-attempt timeouts, bounded retries with jittered exponential
-// backoff, and a circuit breaker so a dead peer costs one cooldown, not
-// timeout × retries per key.
+// peerClient talks to one peer's internal /v1/peer surface. Each
+// method is one attempt under the per-attempt timeout; the retry and
+// the peer's health verdict belong to the cluster (cluster.call).
 type peerClient struct {
 	base    string // peer base URL, no trailing slash
 	hc      *http.Client
 	timeout time.Duration // per attempt
-	retries int           // attempts = retries + 1
-	backoff time.Duration // base; attempt i sleeps base·2^i·jitter
 	secret  string        // cluster shared secret; empty = unauthenticated
-	brk     *peerBreaker
 }
 
-func newPeerClient(base string, timeout time.Duration, retries int, backoff time.Duration, brkThreshold int, brkCooldown time.Duration, secret string) *peerClient {
+func newPeerClient(base string, timeout time.Duration, secret string) *peerClient {
 	return &peerClient{
 		base:    strings.TrimRight(base, "/"),
 		hc:      &http.Client{},
 		timeout: timeout,
-		retries: retries,
-		backoff: backoff,
 		secret:  secret,
-		brk:     &peerBreaker{threshold: brkThreshold, cooldown: brkCooldown},
 	}
 }
 
@@ -192,80 +106,24 @@ func (pc *peerClient) authorize(req *http.Request) {
 	}
 }
 
-// sleepBackoff waits out the attempt'th backoff (base·2^attempt scaled
-// by a jitter factor in [0.5, 1.5)), returning early with ctx's error
-// if the context dies first. Jitter decorrelates the retry schedules of
-// peers that failed at the same instant — a daemon kill makes every
-// in-flight fetch fail together, and without jitter their retries would
-// keep arriving together.
-func (pc *peerClient) sleepBackoff(ctx context.Context, attempt int) error {
-	d := time.Duration(float64(pc.backoff) * float64(int(1)<<attempt) * (0.5 + rand.Float64()))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// maxPeerBody bounds how many bytes fetch will read from a peer
-// response — a corrupted length field or a misbehaving peer must not
-// balloon memory. Matches the daemon's default request-body bound.
-const maxPeerBody = 64 << 20
-
-// fetch GETs path from the peer, validates the wire frame, and runs
-// decode (the entry-layer parser) on the stripped payload — every
-// fetch operation ends in exactly one outcome, classified here, so
-// peer_fetch_total rows and breaker verdicts match fetch operations
-// one-to-one. Outcomes:
+// fetch makes one attempt to GET path from the peer, validates the
+// wire frame, and runs decode (the entry-layer parser) on the stripped
+// payload. Every attempt ends in exactly one outcome:
 //
 //   - hit: 200 with a frame that passed checksum + version validation
 //     AND whose payload decode accepted; returns the decoded value;
-//   - miss: 404 — the peer answered definitively, no retry, breaker
-//     credit (the peer is alive);
+//   - miss: 404 — the peer answered definitively;
 //   - version_mismatch / corrupt: the body failed frame validation
 //     exactly like a damaged snapshot file, or the frame verified but
 //     the entry-layer decode rejected the payload; deterministic, so
-//     no retry, but the breaker debits the peer either way;
-//   - error: transport errors, timeouts, auth rejections, and 5xx/503
-//     exhausted the retry budget;
-//   - breaker_open: the fetch was never attempted.
+//     not retryable;
+//   - error: transport errors, timeouts, auth rejections (not
+//     retryable), and 5xx/503.
 //
 // The faultinject.PeerFetch hook fires after the body is read and
 // before validation, so injected corruption exercises the same
 // rejection path real bit rot would.
-func (pc *peerClient) fetch(ctx context.Context, path string, decode func([]byte) (any, error)) (any, fetchOutcome) {
-	if !pc.brk.allow() {
-		return nil, outcomeBreakerOpen
-	}
-	for attempt := 0; ; attempt++ {
-		val, outcome, retryable := pc.fetchOnce(ctx, path, decode)
-		switch outcome {
-		case outcomeHit, outcomeMiss:
-			pc.brk.success()
-			return val, outcome
-		}
-		pc.brk.failure()
-		if !retryable || attempt >= pc.retries {
-			return nil, outcome
-		}
-		// Re-consult the breaker between attempts: this failure may
-		// have opened it (e.g. another goroutine's failures landed
-		// concurrently), and retrying through an open breaker would
-		// defeat its fast-fail purpose.
-		if !pc.brk.allow() {
-			return nil, outcomeBreakerOpen
-		}
-		if err := pc.sleepBackoff(ctx, attempt); err != nil {
-			return nil, outcomeError
-		}
-	}
-}
-
-// fetchOnce runs a single fetch attempt under the per-attempt timeout.
-func (pc *peerClient) fetchOnce(ctx context.Context, path string, decode func([]byte) (any, error)) (val any, outcome fetchOutcome, retryable bool) {
+func (pc *peerClient) fetch(ctx context.Context, path string, decode func([]byte) (any, error)) (val any, outcome fetchOutcome, retryable bool) {
 	actx, cancel := context.WithTimeout(ctx, pc.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, pc.base+path, nil)
@@ -287,16 +145,16 @@ func (pc *peerClient) fetchOnce(ctx context.Context, path string, decode func([]
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, outcomeError, false
 	case resp.StatusCode != http.StatusOK:
-		// 503 (draining, breaker) and 5xx: the peer may recover within
-		// the retry budget.
+		// 503 (draining, breaker) and 5xx: the peer may recover by the
+		// retry.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, outcomeError, true
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody+1))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {
 		return nil, outcomeError, true
 	}
-	if len(raw) > maxPeerBody {
+	if len(raw) > maxBodyBytes {
 		return nil, outcomeCorrupt, false
 	}
 	raw, err = faultinject.FireBody(actx, faultinject.PeerFetch, raw)
@@ -312,7 +170,7 @@ func (pc *peerClient) fetchOnce(ctx context.Context, path string, decode func([]
 	}
 	// Entry layer: the frame verified, now the payload must parse into a
 	// structurally valid entry. A failure here is the same verdict as a
-	// damaged snapshot file — corrupt, breaker debited by the caller.
+	// damaged snapshot file — corrupt.
 	if val, err = decode(payload); err != nil {
 		return nil, outcomeCorrupt, false
 	}
@@ -323,36 +181,11 @@ func isVersionMismatch(err error) bool {
 	return errors.Is(err, diskstore.ErrVersionMismatch)
 }
 
-// push PUTs a wire-framed body to path on the peer — the owner-ward
-// replication of an entry this daemon built for a key it does not own.
-// Pushes share the fetch path's timeout/retry/backoff discipline and
-// breaker (a peer too sick to serve fetches is too sick to absorb
-// pushes), but a failed push is only a delayed warm-cache opportunity:
-// the replica pulls the entry on a later repair sweep.
-func (pc *peerClient) push(ctx context.Context, path string, body []byte) bool {
-	if !pc.brk.allow() {
-		return false
-	}
-	for attempt := 0; ; attempt++ {
-		ok, retryable := pc.pushOnce(ctx, path, body)
-		if ok {
-			pc.brk.success()
-			return true
-		}
-		pc.brk.failure()
-		if !retryable || attempt >= pc.retries {
-			return false
-		}
-		if !pc.brk.allow() {
-			return false
-		}
-		if err := pc.sleepBackoff(ctx, attempt); err != nil {
-			return false
-		}
-	}
-}
-
-func (pc *peerClient) pushOnce(ctx context.Context, path string, body []byte) (ok, retryable bool) {
+// push makes one attempt to PUT a wire-framed body to path on the peer
+// — the owner-ward replication of an entry this daemon built for a key
+// it does not own. A failed push is only a delayed warm-cache
+// opportunity: the replica pulls the entry on a later repair sweep.
+func (pc *peerClient) push(ctx context.Context, path string, body []byte) (ok, retryable bool) {
 	actx, cancel := context.WithTimeout(ctx, pc.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPut, pc.base+path, bytes.NewReader(body))

@@ -46,11 +46,15 @@ func (s *Server) enter(w http.ResponseWriter, msg string) bool {
 	return !draining
 }
 
-// decode reads the request body into v: at most MaxBodyBytes, strict
+// maxBodyBytes bounds every body the daemon reads: a request body, a
+// peer's pushed entry, and a peer's fetch response.
+const maxBodyBytes = 64 << 20
+
+// decode reads the request body into v: at most maxBodyBytes, strict
 // JSON with unknown fields refused. With optional set an empty body
 // leaves v at its zero value.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && !(optional && errors.Is(err, io.EOF)) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())

@@ -76,8 +76,6 @@ type Config struct {
 	// MaxEdges rejects oversized edge lists at decode time with 413,
 	// before any admission cost is paid. Zero means 2 million.
 	MaxEdges int
-	// MaxBodyBytes bounds the request body. Zero means 64 MiB.
-	MaxBodyBytes int64
 	// StateDir, when non-empty, makes the decomposition cache durable:
 	// entries are snapshotted to this directory by a background flusher
 	// and loaded back on startup, so a killed-and-restarted daemon
@@ -124,22 +122,12 @@ type Config struct {
 	// receiver cannot tie a payload back to its key), and a hostile
 	// writer could poison answers served cluster-wide.
 	PeerSecret string
-	// PeerTimeout bounds each peer-fetch attempt. Zero means 2s.
+	// PeerTimeout bounds each attempt of a peer fetch, push or repair
+	// pull (a call makes at most two). Zero means 2s.
 	PeerTimeout time.Duration
-	// PeerRetries is how many times a failed peer fetch is retried
-	// (attempts = retries + 1). Zero means 2; negative means none.
-	PeerRetries int
-	// PeerBackoff is the base of the jittered exponential backoff
-	// between retries. Zero means 50ms.
-	PeerBackoff time.Duration
-	// PeerBreakerThreshold opens a peer's fetch breaker after this many
-	// consecutive failures. Zero means 3.
-	PeerBreakerThreshold int
-	// PeerBreakerCooldown is how long an open peer breaker fast-fails
-	// before a half-open probe. Zero means 2s.
-	PeerBreakerCooldown time.Duration
 	// PeerHealthInterval is how often the health poller gossips
-	// /v1/peer/health. Zero means 1s.
+	// /v1/peer/health; a clean poll is the only thing that restores a
+	// demoted peer. Zero means 1s.
 	PeerHealthInterval time.Duration
 	// Replication is R, the number of peers that home each cache key —
 	// its top-R rendezvous-hash owners, clamped to the cluster size.
@@ -198,9 +186,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxEdges <= 0 {
 		c.MaxEdges = 2_000_000
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 2 * time.Second
 	}
@@ -209,21 +194,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = 2 * time.Second
-	}
-	if c.PeerRetries == 0 {
-		c.PeerRetries = 2
-	}
-	if c.PeerRetries < 0 {
-		c.PeerRetries = 0
-	}
-	if c.PeerBackoff <= 0 {
-		c.PeerBackoff = 50 * time.Millisecond
-	}
-	if c.PeerBreakerThreshold <= 0 {
-		c.PeerBreakerThreshold = 3
-	}
-	if c.PeerBreakerCooldown <= 0 {
-		c.PeerBreakerCooldown = 2 * time.Second
 	}
 	if c.PeerHealthInterval <= 0 {
 		c.PeerHealthInterval = time.Second

@@ -226,6 +226,10 @@ func TestTreesCeiling(t *testing.T) {
 	h := s.Handler()
 	partition, graphs := testRequest(), sessionCreateRequest()
 	partition.TimeoutMS = 100
+	// Through the ladder: its floor guarantees the 200 inside the
+	// deadline, where a no_degrade DP of 64 trees may answer 504 on a
+	// loaded host.
+	partition.NoDegrade = false
 	for _, trees := range []int{65536, maxTrees} {
 		partition.Trees, graphs.Trees = trees, trees
 		for _, c := range []struct {
