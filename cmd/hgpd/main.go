@@ -8,7 +8,8 @@
 // sessions are durable across restarts; with -adaptive the solve
 // ceiling follows observed latency AIMD-style; with -max-heap-bytes a
 // memory-pressure breaker degrades service before the kernel OOM-kills
-// the process. With -peers or -peers-file the daemon joins a shard
+// the process. Every request is keyed by its canonical form, so
+// relabelled resubmissions share cache entries. With -peers or -peers-file the daemon joins a shard
 // group: each cache key lives on its top -replication peers, and
 // anti-entropy repair restocks replicas that missed pushes. See API.md
 // for the wire format and DESIGN.md for the serving architecture.
@@ -51,7 +52,6 @@ func main() {
 		snapInterval = flag.Duration("snapshot-interval", 2*time.Second, "how often the background flusher snapshots staged cache entries")
 		adaptive     = flag.Bool("adaptive", false, "AIMD concurrency limiter: move the solve ceiling with observed latency vs. deadline headroom")
 		maxHeap      = flag.Int64("max-heap-bytes", 0, "memory-pressure breaker threshold on the live heap (0 = disabled)")
-		canonFlag    = flag.Bool("canon", false, "canonical-form graph fingerprinting: key caches by a label-invariant fingerprint so isomorphic (relabelled) submissions share entries; responses carry canon_hit")
 
 		peersFlag   = flag.String("peers", "", "cluster mode: comma-separated base URLs of EVERY member of the shard group, including this daemon's own (see -self); each cache key is homed on its top-R rendezvous-hash owners (see -replication), non-replicas fetch from them and push local builds back")
 		peersFile   = flag.String("peers-file", "", "cluster mode: read the peer list from this file instead of -peers (whitespace/comma separated, # comments); SIGHUP — or an observed mtime change — re-reads it and reloads membership without a restart")
@@ -111,7 +111,10 @@ func main() {
 		SnapshotInterval:   *snapInterval,
 		Adaptive:           *adaptive,
 		MaxHeapBytes:       *maxHeap,
-		Canon:              *canonFlag,
+		// Every request is keyed by its canonical form (its labelled
+		// form when canonicalization refuses), so isomorphic submissions
+		// share cache entries; responses carry canon_hit.
+		Canon: true,
 
 		Peers:          peers,
 		Self:           *selfFlag,

@@ -11,7 +11,7 @@
 // -workload zipf (a zipf-distributed multi-tenant population, each
 // tenant resubmitting its own streaming-topology instance under fresh
 // vertex relabellings — the shape canonical fingerprinting exists for;
-// pair it with a daemon running -canon and watch canon_hit_ratio).
+// hgpd canonicalizes every request, so watch canon_hit_ratio).
 //
 // With -endpoints a,b,c it drives a whole hgpd cluster: requests
 // rotate across the endpoints, transport errors fail over to the next
@@ -82,7 +82,7 @@ func loadRequest(seed int64, trees, timeoutMS int) []byte {
 // identityFraction is the share of zipf-workload requests that resubmit
 // a tenant's instance with its ORIGINAL labelling instead of a fresh
 // random relabelling. It keeps the canon-off baseline's hit ratio
-// nonzero (identical bytes hit the label-sensitive keys), so the E25
+// nonzero (identical bytes share a labelled form's keys), so the E25
 // on/off comparison measures the fingerprint's lift, not division by
 // zero.
 const identityFraction = 0.1
@@ -91,9 +91,9 @@ const identityFraction = 0.1
 // item 4 describes: a zipf-distributed tenant population, each tenant
 // owning one topology-family instance (rotating through the
 // internal/stream families), autoscaling resubmitting that instance
-// under fresh vertex labellings. Without canonicalization almost every
-// such request misses the label-sensitive caches; with -canon on the
-// daemon they collapse onto shared canonical entries.
+// under fresh vertex labellings. Keyed by their labelled forms almost
+// every such request would miss; canonicalized, as hgpd does, they
+// collapse onto shared canonical entries.
 type zipfWorkload struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -283,8 +283,8 @@ type Summary struct {
 	ResultCacheHitRatio float64 `json:"result_cache_hit_ratio"`
 	// CanonHits counts 200s served through a canonical-fingerprint cache
 	// key (canon_hit in the response): the daemon recognized the instance
-	// as isomorphic to one it had already processed. Always zero unless
-	// the daemon runs with -canon.
+	// as isomorphic to one it had already processed. Always zero for
+	// graphs the daemon keys by their labelled forms.
 	CanonHits     int     `json:"canon_hits"`
 	CanonHitRatio float64 `json:"canon_hit_ratio"`
 	// PeerFetchHits counts 200s a daemon answered from an entry it

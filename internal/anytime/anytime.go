@@ -204,8 +204,9 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 
 	// Collect every launched tier. There is no abandon-and-leak escape
 	// hatch: tiers return promptly after cancellation because ctx is
-	// polled at every cluster split and DP table, and stopRace is fired
-	// the moment the full tier completes so losers stop burning CPU.
+	// polled at every cluster split and inside every DP merge, and
+	// stopRace is fired the moment the full tier completes so losers
+	// stop burning CPU.
 	var best *attempt
 	for i := 0; i < launched; i++ {
 		a := <-ch

@@ -1,0 +1,5 @@
+//go:build !race
+
+package anytime
+
+const raceEnabled = false

@@ -9,6 +9,7 @@ import (
 	"math"
 	"sync"
 
+	"hierpart/internal/canon"
 	"hierpart/internal/graph"
 	"hierpart/internal/hierarchy"
 	"hierpart/internal/treedecomp"
@@ -154,20 +155,20 @@ func (c *LRU) Stats() Stats {
 	return s
 }
 
-// DecompEntry is the value stored in the decomposition cache when the
-// server runs with canonicalization enabled: the decomposition of the
-// CANONICAL graph plus the orig→canonical permutation of the request
-// that wrote the entry. The permutation is provenance — each reader
+// DecompEntry is the value stored in the decomposition cache: the
+// decomposition of a request's canon.Form graph plus the form's
+// submission→form permutation of the request that wrote the entry (nil
+// for a labelled form). The permutation is provenance — each reader
 // translates through its own request's permutation, never the stored
 // one — but persisting it lets snapshots round-trip the full entry and
 // lets tests pin writer/reader consistency.
 type DecompEntry struct {
 	Dec  *treedecomp.Decomposition
-	Perm []int // orig→canonical mapping of the writing request; nil when canon was off
+	Perm []int // submission→form mapping of the writing request; nil for a labelled form
 }
 
-// keyHasher accumulates the canonical little-endian serialization of
-// key material shared by all cache-key derivations.
+// keyHasher accumulates the little-endian serialization of key
+// material shared by all cache-key derivations.
 type keyHasher struct {
 	h   hash.Hash
 	buf [8]byte
@@ -226,40 +227,17 @@ func (k *keyHasher) hierarchy(H *hierarchy.Hierarchy) {
 
 func (k *keyHasher) sum() string { return hex.EncodeToString(k.h.Sum(nil)) }
 
-// DecompKey returns the canonical cache key for the decomposition of g
-// under opt: a SHA-256 over the vertex count, every vertex demand, the
-// sorted (U < V, by (U,V)) edge list, and the option fields that shape
-// the emitted tree distribution (see keyHasher.options for the
-// included/excluded fields). The key is label-SENSITIVE: vertex-identical
-// graphs collide deliberately, relabelled isomorphic graphs miss — see
-// DecompKeyCanon for the label-invariant variant.
-func DecompKey(g *graph.Graph, opt treedecomp.Options) string {
-	k := newKeyHasher()
-	k.int(int64(g.N()))
-	for v := 0; v < g.N(); v++ {
-		k.float(g.Demand(v))
-	}
-	for _, e := range g.Edges() {
-		k.int(int64(e.U))
-		k.int(int64(e.V))
-		k.float(e.Weight)
-	}
-	k.options(opt)
-	return k.sum()
-}
-
-// DecompKeyCanon returns the label-INVARIANT decomposition cache key
-// derived from a canon.Form fingerprint: any two isomorphic submissions
-// that canonicalize share it, so they share one cached decomposition of
-// the canonical graph. The "decomp-canon\x02" prefix domain-separates
-// the canonical key space from DecompKey's v1 space — a v1 key can
-// never alias a v2 key even though both are hex SHA-256 strings,
-// because the fingerprint itself is a hash over a different domain
-// ("hgp-canon\x01" + canonical serialization) than DecompKey's raw
-// serialization. Soundness: equal fingerprints imply byte-identical
-// canonical graphs (the fingerprint hashes the canonical serialization,
-// not a WL summary), so a hit hands back a decomposition of exactly the
-// graph the reader is solving.
+// DecompKeyCanon returns the decomposition cache key of a canon.Form
+// fingerprint under opt (see keyHasher.options for the included and
+// excluded option fields). Any two submissions whose forms share the
+// fingerprint share the key, so they share one cached decomposition of
+// the form's graph: every isomorphic submission that canonicalizes, and
+// every identical resubmission of a graph keyed by its labelled form.
+// The "decomp-canon\x02" prefix domain-separates it from the result
+// keys. Soundness: equal fingerprints imply byte-identical serialized
+// graphs (the fingerprint hashes the serialization, not a WL summary),
+// so a hit hands back a decomposition of exactly the graph the reader
+// is solving.
 func DecompKeyCanon(fingerprint string, opt treedecomp.Options) string {
 	k := newKeyHasher()
 	k.bytes([]byte("decomp-canon\x02"))
@@ -268,12 +246,14 @@ func DecompKeyCanon(fingerprint string, opt treedecomp.Options) string {
 	return k.sum()
 }
 
-// ResultKey returns the canonical cache key for a FULL solve result —
+// ResultKeyCanon returns the cache key for a FULL solve result —
 // decomposition plus DP plus gather — so a repeat request can skip both
-// phases. It extends DecompKey's identity (graph, tree-distribution
-// options) with everything else that determines the returned placement:
-// the hierarchy shape (deg and cm level by level) and the solver's Eps
-// and MaxStates.
+// phases. It extends DecompKeyCanon's identity (form, tree-distribution
+// options) with everything else that determines the returned placement
+// — the hierarchy shape (deg and cm level by level) and the solver's
+// Eps and MaxStates — under its own "result-canon\x02" domain. The
+// translation back to submission labels is a pure relabelling that
+// cannot change the cost — see DESIGN.md §12.
 //
 // Deliberately excluded, because the returned result is bit-identical
 // across them (keying on them would only fragment the cache):
@@ -285,25 +265,6 @@ func DecompKeyCanon(fingerprint string, opt treedecomp.Options) string {
 //     pruned results bit-identical to unpruned ones. PerTreeCosts
 //     sentinels differ (+Inf for pruned trees), so cached results keep
 //     whichever sentinel pattern the first solve produced.
-func ResultKey(g *graph.Graph, H *hierarchy.Hierarchy, opt treedecomp.Options, eps float64, maxStates int) string {
-	k := newKeyHasher()
-	// Domain-separate from DecompKey so the two key spaces can never
-	// collide, then fold in the decomposition identity.
-	k.bytes([]byte("result\x00"))
-	k.bytes([]byte(DecompKey(g, opt)))
-	k.hierarchy(H)
-	k.float(eps)
-	k.int(int64(maxStates))
-	return k.sum()
-}
-
-// ResultKeyCanon is ResultKey's label-invariant counterpart: it extends
-// DecompKeyCanon's identity with the hierarchy shape and the solver's
-// Eps and MaxStates, under its own "result-canon\x02" domain. The same
-// Workers/Prune exclusions apply (the cached result is the solve of the
-// canonical graph, bit-identical across both), and the translation back
-// to submission labels is a pure relabelling that cannot change the
-// cost — see DESIGN.md §12.
 func ResultKeyCanon(fingerprint string, H *hierarchy.Hierarchy, opt treedecomp.Options, eps float64, maxStates int) string {
 	k := newKeyHasher()
 	k.bytes([]byte("result-canon\x02"))
@@ -312,4 +273,16 @@ func ResultKeyCanon(fingerprint string, H *hierarchy.Hierarchy, opt treedecomp.O
 	k.float(eps)
 	k.int(int64(maxStates))
 	return k.sum()
+}
+
+// DecompKey is DecompKeyCanon of g's labelled form, kept only for
+// perfbench until the next benchmark change.
+func DecompKey(g *graph.Graph, opt treedecomp.Options) string {
+	return DecompKeyCanon(canon.Labelled(g).Fingerprint, opt)
+}
+
+// ResultKey is ResultKeyCanon of g's labelled form, kept only for
+// perfbench until the next benchmark change.
+func ResultKey(g *graph.Graph, H *hierarchy.Hierarchy, opt treedecomp.Options, eps float64, maxStates int) string {
+	return ResultKeyCanon(canon.Labelled(g).Fingerprint, H, opt, eps, maxStates)
 }

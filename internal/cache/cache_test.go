@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"hierpart/internal/canon"
 	"hierpart/internal/gen"
 	"hierpart/internal/graph"
 	"hierpart/internal/hierarchy"
@@ -261,5 +262,71 @@ func TestResultKeyDisjointFromDecompKey(t *testing.T) {
 	opt := treedecomp.Options{Trees: 2, Seed: 1}
 	if ResultKey(g, h, opt, 0.5, 0) == DecompKey(g, opt) {
 		t.Fatal("result key aliases decomposition key")
+	}
+}
+
+// TestCanonicalKeysPinned pins one fingerprint, one DecompKeyCanon and
+// one ResultKeyCanon value: hgpload's two-clique, which canonicalizes
+// only through the tie-break search, under fixed options. Canonical keys
+// must never move, or every warm state directory and peer goes cold.
+func TestCanonicalKeysPinned(t *testing.T) {
+	g := graph.New(8)
+	for v := 0; v < 8; v++ {
+		g.SetDemand(v, 0.5)
+	}
+	for b := 0; b < 8; b += 4 {
+		for i := b; i < b+4; i++ {
+			for j := i + 1; j < b+4; j++ {
+				g.AddEdge(i, j, 10)
+			}
+		}
+	}
+	g.AddEdge(0, 4, 1)
+	f, ok := canon.Canonicalize(g)
+	if !ok {
+		t.Fatal("the two-clique must canonicalize")
+	}
+	opt := treedecomp.Options{Trees: 4, Seed: 7}
+	H := hierarchy.MustNew([]int{2, 4}, []float64{8, 2, 0})
+	for name, got := range map[string]string{
+		"fingerprint": f.Fingerprint,
+		"decomp":      DecompKeyCanon(f.Fingerprint, opt),
+		"result":      ResultKeyCanon(f.Fingerprint, H, opt, 0.5, 1000),
+	} {
+		want := map[string]string{
+			"fingerprint": "9f5288ab0ff432827d4f3c573375d5e1207fb47e97e097d81cdadedf8b2bc608",
+			"decomp":      "42915eb94bc4680af0db4db0e9d0cae9480f0a0765407aa6dd10dc8569521e30",
+			"result":      "e0a020e6582ecade9729da7fa7e31c9b07d6ace490e1f7bec62c6fad16531edc",
+		}[name]
+		if got != want {
+			t.Errorf("%s = %s, pinned %s", name, got, want)
+		}
+	}
+}
+
+// TestLabelledKeysShareTheCanonicalDomain: the perfbench wrappers key a
+// graph by its labelled form, so a labelled graph that equals some
+// canonical graph byte for byte gets that canonical graph's keys —
+// sound, because both are the same serialized graph.
+func TestLabelledKeysShareTheCanonicalDomain(t *testing.T) {
+	g := gen.Grid(3, 4, 2)
+	gen.EqualDemands(g, 0.25)
+	g.SetDemand(0, 0.5) // breaks the grid's symmetry
+	f, ok := canon.Canonicalize(g)
+	if !ok {
+		t.Fatal("an asymmetric grid must canonicalize")
+	}
+	opt := treedecomp.Options{Trees: 2, Seed: 3}
+	H := hierarchy.FlatKWay(4)
+	if got, want := DecompKey(g, opt), DecompKeyCanon(canon.Labelled(g).Fingerprint, opt); got != want {
+		t.Fatal("DecompKey must be DecompKeyCanon of the labelled form")
+	}
+	if got, want := ResultKey(g, H, opt, 0.5, 0), ResultKeyCanon(canon.Labelled(g).Fingerprint, H, opt, 0.5, 0); got != want {
+		t.Fatal("ResultKey must be ResultKeyCanon of the labelled form")
+	}
+	// The canonical graph, submitted under its canonical labels, is its
+	// own labelled form.
+	if DecompKey(f.Graph, opt) != DecompKeyCanon(f.Fingerprint, opt) {
+		t.Fatal("the canonical graph's labelled key must equal its canonical key")
 	}
 }

@@ -119,8 +119,8 @@ type pendingEntry struct {
 // leaves either the old entry, no entry, or a stray temp file (ignored,
 // and removed by LoadAll) — never a half-written entry under the final
 // name — and once Save returns the entry survives power loss, not just
-// process death. perm is the writing request's orig→canonical vertex
-// permutation; pass nil for label-sensitive (canon-off) entries.
+// process death. perm is the writing request's submission→canonical
+// vertex permutation; pass nil for an entry keyed by a labelled form.
 func (s *Store) Save(key string, d *treedecomp.Decomposition, perm []int) error {
 	payload := EncodeDecompEntry(d, perm)
 	if err := faultinject.Fire(nil, faultinject.DiskWrite); err != nil {

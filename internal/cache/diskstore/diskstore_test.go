@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hierpart/internal/cache"
+	"hierpart/internal/canon"
 	"hierpart/internal/faultinject"
 	"hierpart/internal/gen"
 	"hierpart/internal/telemetry"
@@ -25,7 +26,7 @@ func testDecomp(t *testing.T, seed int64) (*treedecomp.Decomposition, string) {
 	g := gen.Community(rand.New(rand.NewSource(seed)), 3, 6, 0.6, 0.05, 10, 1)
 	gen.EqualDemands(g, 0.5)
 	opt := treedecomp.Options{Trees: 3, Seed: seed, Workers: 1}
-	return treedecomp.Build(g, opt), cache.DecompKey(g, opt)
+	return treedecomp.Build(g, opt), cache.DecompKeyCanon(canon.Labelled(g).Fingerprint, opt)
 }
 
 // sameDecomp asserts two decompositions are structurally identical —

@@ -13,8 +13,9 @@
 // Close force synchronous writes for clean shutdowns. The store prunes
 // itself to a bounded number of entries.
 //
-// Format v2 entries carry the writing request's orig→canonical vertex
-// permutation alongside the decomposition (empty when the daemon runs
-// without -canon), so canonical-space cache entries round-trip across
-// restarts; v1 files hit the ordinary version-mismatch skip path.
+// Format v2 entries carry the writing request's submission→canonical
+// vertex permutation alongside the decomposition (empty for an entry
+// keyed by a labelled form), so canonical-space cache entries
+// round-trip across restarts; v1 files hit the ordinary
+// version-mismatch skip path.
 package diskstore

@@ -42,9 +42,12 @@ func EncodeDecompEntry(d *treedecomp.Decomposition, perm []int) []byte {
 	return append(buf, encodeDecomposition(d)...)
 }
 
-// DecodeDecompEntry parses the permutation section — validating it is a true
-// permutation, since a corrupt one would silently scramble every
-// translated placement — then hands the rest to decodeDecomposition.
+// DecodeDecompEntry parses the permutation section, then hands the rest
+// to decodeDecomposition. Readers translate through their own request's
+// permutation, never this one (cache.DecompEntry), but the bytes come
+// from disk and peers: a section that is not a true permutation marks a
+// damaged or forged payload, rejected rather than re-served and
+// re-persisted.
 func DecodeDecompEntry(buf []byte) (*treedecomp.Decomposition, []int, error) {
 	if len(buf) < 4 {
 		return nil, nil, fmt.Errorf("diskstore: truncated payload at byte 0")

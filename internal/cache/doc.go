@@ -1,6 +1,6 @@
 // Package cache provides the caching layer of the hgpd serving stack: a
-// thread-safe LRU plus the canonical content hashes that key every
-// cache in the daemon.
+// thread-safe LRU plus the content hashes that key every cache in the
+// daemon.
 //
 // Building the decomposition tree distribution (§4 of the paper,
 // internal/treedecomp) is a fixed share of every cold solve: on
@@ -10,31 +10,33 @@
 // Trees, Seed, FMPasses, FlowRefine, Strategy) — per-tree sub-seeded
 // RNG streams make it independent of worker count and build order.
 // That purity is what makes caching sound: two requests with the same
-// canonical key receive bit-identical tree distributions, so a cache
-// hit skips the embed phase entirely without changing the response.
+// key receive bit-identical tree distributions, so a cache hit skips
+// the embed phase entirely without changing the response.
 //
-// Two key families cover the two artifacts worth reusing:
+// One key family covers the two artifacts worth reusing. Every key
+// derives from a canon.Form fingerprint: the request's canonical form,
+// shared by every isomorphic submission, or — when canonicalization
+// refuses — its labelled form, the submission's own serialization
+// hashed in the same fingerprint domain. Equal fingerprints imply
+// byte-identical serialized graphs, so a hit always hands back an
+// artifact of exactly the graph the reader solves (DESIGN.md §12).
 //
-//   - DecompKey / DecompKeyCanon identify a decomposition (the embed
-//     phase's output). DecompKey hashes the labelled graph directly —
-//     vertex demands plus the sorted edge list, so vertex-identical
-//     graphs collide deliberately and relabelled isomorphic graphs
-//     miss. DecompKeyCanon instead hashes a label-invariant
-//     canonical-form fingerprint from internal/canon, so isomorphic
-//     submissions from different users share one entry; the cached
-//     value is then a DecompEntry carrying the canonical graph's
-//     decomposition plus the writing request's orig→canonical
-//     permutation.
-//   - ResultKey / ResultKeyCanon identify a FULL solve result
-//     (decomposition + DP + gather), extending the decomposition
-//     identity with the hierarchy shape and the solver's Eps and
-//     MaxStates. Workers and the portfolio-pruning toggle are
-//     deliberately excluded from every key: the result is bit-identical
-//     across them, so keying on them would only fragment the cache.
+//   - DecompKeyCanon identifies a decomposition (the embed phase's
+//     output); the cached value is a DecompEntry carrying the
+//     decomposition of the form's graph plus the writing request's
+//     permutation (none for a labelled form).
+//   - ResultKeyCanon identifies a FULL solve result (decomposition, DP
+//     and gather), extending the decomposition identity with the
+//     hierarchy shape and the solver's Eps and MaxStates. Workers and
+//     the portfolio-pruning toggle are deliberately excluded from every
+//     key: the result is bit-identical across them, so keying on them
+//     would only fragment the cache.
 //
-// Each family occupies its own hash domain ("result\x00",
-// "decomp-canon\x02", "result-canon\x02", and DecompKey's raw
-// serialization), so the four key spaces can never alias one another.
+// The two occupy their own hash domains ("decomp-canon\x02",
+// "result-canon\x02"), so they can never alias each other. DecompKey
+// and ResultKey are one-line wrappers over the labelled form's keys,
+// kept only because perfbench calls them; they go in the next
+// benchmark change.
 //
 // Main entry points: New builds an LRU of bounded entry count with
 // hit/miss/eviction accounting (LRU.Stats); LRU.Get / LRU.Add are the

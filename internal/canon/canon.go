@@ -12,86 +12,76 @@ import (
 	"hierpart/internal/graph"
 )
 
-// fingerprintDomain domain-separates canonical fingerprints from every
-// other SHA-256 key space in the repo (cache.DecompKey, cache.ResultKey,
+// fingerprintDomain domain-separates fingerprints from every other
+// SHA-256 key space in the repo (the cache keys derived from them,
 // diskstore checksums). Bump the version byte if the certificate layout
 // ever changes — old fingerprints must not alias new ones.
 const fingerprintDomain = "hgp-canon\x01"
 
-// Options tunes the canonicalizer's escape hatches. The zero value is
-// usable: every field ≤ 0 takes its documented default.
-type Options struct {
-	// MaxClass refuses graphs whose stable WL partition contains a
-	// colour class larger than this: the residual automorphism classes
-	// are too big for the exact tie-break to enumerate cheaply, so the
-	// caller should fall back to a label-sensitive key rather than pay
-	// a combinatorial search (or risk a non-canonical ordering).
-	// Default 8.
-	MaxClass int
-	// MaxBranch bounds the individualization-refinement search: the
-	// total number of branch nodes explored across the whole search
-	// tree. Exceeding it refuses the graph. Default 4096.
-	MaxBranch int
-	// MaxRounds bounds WL refinement rounds. Refinement needs at most
-	// diameter-ish rounds on structured graphs; a graph that has not
-	// stabilized by then (very long uniform paths/cycles) is refused
-	// rather than canonicalized slowly. Default 64.
-	MaxRounds int
+// maxClass refuses, after one round, graphs whose first stable WL
+// partition has a colour class larger than this (tori, complete
+// bipartite graphs): the tie-break would enumerate the class.
+const maxClass = 8
+
+// The work budget. Every WL round, at the root and in every branch of
+// the search, is charged n + m; large graphs get about budgetRounds
+// rounds, and budgetConst keeps tiny graphs with deep symmetric
+// searches canonical (the two-clique spends 2 814). Only
+// label-invariant work is counted, so the refusal decision is
+// label-invariant (DESIGN.md §12).
+const (
+	budgetRounds = 8
+	budgetConst  = 1 << 14
+)
+
+// budget is the work Canonicalize may spend on g.
+func budget(g *graph.Graph) int64 {
+	return budgetRounds*int64(g.N()+g.M()) + budgetConst
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxClass <= 0 {
-		o.MaxClass = 8
-	}
-	if o.MaxBranch <= 0 {
-		o.MaxBranch = 4096
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 64
-	}
-	return o
-}
-
-// Form is the canonical form of a weighted graph: a label-invariant
-// fingerprint, the canonical relabelling that produced it, and the
-// relabelled graph itself.
+// Form is a graph's cache identity: a fingerprint, the relabelling that
+// produced it, and the relabelled graph. A canonical form (Canonicalize)
+// is shared by every isomorphic submission; a labelled form (Labelled)
+// keys the submission's own labels in the same fingerprint domain.
 //
-// Soundness does not rest on Weisfeiler–Leman completeness: the
-// fingerprint hashes the canonical SERIALIZATION of the relabelled
-// graph (vertex count, demands, sorted weighted edge list), so equal
-// fingerprints imply byte-identical canonical graphs — i.e. isomorphic
-// inputs — even for WL-equivalent non-isomorphic pairs. WL plus the
-// exact tie-break only decide COMPLETENESS: whether two isomorphic
-// inputs reach the same canonical ordering (they do whenever
-// Canonicalize succeeds, which is what makes cross-user cache hits
-// work).
+// Soundness rests neither on Weisfeiler–Leman completeness nor on the
+// form's kind: the fingerprint hashes the SERIALIZATION of Graph
+// (vertex count, demands, sorted weighted edge list), so equal
+// fingerprints imply byte-identical graphs. WL plus the exact tie-break
+// only decide whether two isomorphic inputs reach the same canonical
+// ordering (they do whenever Canonicalize succeeds).
 type Form struct {
-	// Fingerprint is the label-invariant identity: hex SHA-256 over the
-	// canonical graph's serialization, domain-separated from every
-	// other key space in the repo. Two graphs share a Fingerprint iff
-	// they are isomorphic (as vertex-weighted, edge-weighted graphs).
+	// Fingerprint is hex SHA-256 over Graph's serialization,
+	// domain-separated from every other key space in the repo. Two
+	// canonical forms share it iff their inputs are isomorphic (as
+	// vertex-weighted, edge-weighted graphs).
 	Fingerprint string
-	// Perm maps submission vertex IDs to canonical IDs: submission
-	// vertex v is canonical vertex Perm[v].
+	// Perm maps submission vertex IDs to form IDs: submission vertex v
+	// is vertex Perm[v] of Graph. Nil means the identity (a labelled
+	// form).
 	Perm []int
-	// Graph is the canonical relabelling of the input: demands and
-	// edges carried through Perm, edges inserted in sorted canonical
-	// order so downstream float summations are identical for every
-	// isomorphic submission.
+	// Graph is the input relabelled through Perm: demands and edges
+	// carried over, edges inserted in sorted order so downstream float
+	// summations are identical for every submission with this
+	// fingerprint.
 	Graph *graph.Graph
-	// Rounds is how many WL refinement rounds stabilization took.
-	Rounds int
+	// Canonical reports a canonical form. False marks a labelled form,
+	// which only an identical resubmission shares.
+	Canonical bool
 	// Branches is how many individualization-refinement branch nodes
 	// the exact tie-break explored; 0 means refinement alone was
 	// already discrete.
 	Branches int
 }
 
-// TranslateAssignment maps a canonical-space placement back into the
+// TranslateAssignment maps a placement of Graph back into the
 // submission's own vertex labels: submission vertex v is placed where
-// canonical vertex Perm[v] was. The result is a fresh slice — cached
-// canonical results are shared across requests and must not be mutated.
+// vertex Perm[v] of Graph was. The result is a fresh slice — cached
+// results are shared across requests and must not be mutated.
 func (f *Form) TranslateAssignment(a []int) []int {
+	if f.Perm == nil {
+		return slices.Clone(a)
+	}
 	out := make([]int, len(f.Perm))
 	for v, c := range f.Perm {
 		out[v] = a[c]
@@ -99,15 +89,22 @@ func (f *Form) TranslateAssignment(a []int) []int {
 	return out
 }
 
-// Canonicalize computes the canonical form of g under default Options.
-// The boolean reports success; false means the graph's residual
-// automorphism structure exceeded the cheap-search budget and the
-// caller should fall back to a label-sensitive cache key.
-func Canonicalize(g *graph.Graph) (*Form, bool) {
-	return CanonicalizeOpts(g, Options{})
+// Labelled returns g's labelled form: g's own serialization under the
+// identity permutation, fingerprinted in the canonical domain — the
+// cache identity of a graph Canonicalize refuses. Perm is nil, so
+// stored entries carry no permutation.
+func Labelled(g *graph.Graph) *Form {
+	id := make([]int, g.N())
+	for v := range id {
+		id[v] = v
+	}
+	return &Form{Fingerprint: fingerprint(certificate(g, id)), Graph: Permute(g, id)}
 }
 
-// CanonicalizeOpts is Canonicalize with explicit budgets.
+// Canonicalize computes the canonical form of g. The boolean reports
+// success; false means the search would pass the work budget (or the
+// first stable partition has a class over maxClass), and the caller
+// should key the graph by its Labelled form instead.
 //
 // The algorithm is iterated Weisfeiler–Leman colour refinement over the
 // weighted graph (initial colours from vertex demands; each round a
@@ -119,20 +116,26 @@ func Canonicalize(g *graph.Graph) (*Form, bool) {
 // lexicographically smallest certificate over all leaves of the search
 // wins. Because the target cell choice is isomorphism-invariant and
 // every cell member is tried, the minimum certificate is a true
-// canonical form; the budgets only decide whether we finish the search,
-// never which answer it returns.
-func CanonicalizeOpts(g *graph.Graph, opt Options) (*Form, bool) {
-	opt = opt.withDefaults()
+// canonical form; the budget only decides whether we finish the
+// search, never which answer it returns.
+func Canonicalize(g *graph.Graph) (*Form, bool) {
+	f, _ := canonicalize(g, budget(g))
+	return f, f != nil
+}
+
+// canonicalize is Canonicalize under an explicit work budget. It
+// returns nil on refusal, and the work spent either way, which never
+// exceeds budget.
+func canonicalize(g *graph.Graph, budget int64) (*Form, int64) {
 	n := g.N()
 	if n == 0 {
-		sum := sha256.Sum256([]byte(fingerprintDomain))
-		return &Form{Fingerprint: hex.EncodeToString(sum[:]), Perm: []int{}, Graph: graph.New(0)}, true
+		return &Form{Fingerprint: fingerprint(nil), Perm: []int{}, Graph: graph.New(0), Canonical: true}, 0
 	}
 
-	r := newRefiner(g)
-	ranks, classes, rounds, ok := r.refine(initialRanks(g), opt.MaxRounds)
+	r := newRefiner(g, budget)
+	ranks, classes, ok := r.refine(initialRanks(g))
 	if !ok {
-		return nil, false
+		return nil, r.work
 	}
 
 	var perm []int
@@ -142,27 +145,32 @@ func CanonicalizeOpts(g *graph.Graph, opt Options) (*Form, bool) {
 		perm = ranks
 		cert = certificate(g, perm)
 	} else {
-		if largestClass(ranks, classes) > opt.MaxClass {
-			return nil, false
+		if largestClass(ranks, classes) > maxClass {
+			return nil, r.work
 		}
-		s := &searcher{g: g, r: r, opt: opt}
+		s := &searcher{g: g, r: r}
 		s.explore(ranks, classes)
 		if s.refused || s.best == nil {
-			return nil, false
+			return nil, r.work
 		}
 		perm, cert, branches = s.bestPerm, s.best, s.nodes
 	}
 
+	return &Form{
+		Fingerprint: fingerprint(cert),
+		Perm:        perm,
+		Graph:       Permute(g, perm),
+		Canonical:   true,
+		Branches:    branches,
+	}, r.work
+}
+
+// fingerprint hashes a certificate in the fingerprint domain.
+func fingerprint(cert []byte) string {
 	h := sha256.New()
 	h.Write([]byte(fingerprintDomain))
 	h.Write(cert)
-	return &Form{
-		Fingerprint: hex.EncodeToString(h.Sum(nil)),
-		Perm:        perm,
-		Graph:       Permute(g, perm),
-		Rounds:      rounds,
-		Branches:    branches,
-	}, true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Permute returns a copy of g with vertex v relabelled to perm[v].
@@ -284,11 +292,15 @@ func largestClass(ranks []int, classes int) int {
 }
 
 // refiner runs WL rounds over one graph, reusing scratch across rounds
-// and search branches.
+// and search branches, and charges every round against the work
+// budget.
 type refiner struct {
 	g     *graph.Graph
 	codes []uint64
 	pairs []nbrPair // scratch: one vertex's neighbour multiset
+
+	budget int64 // work the whole search may spend
+	work   int64 // work spent so far: rounds × (n + m)
 }
 
 type nbrPair struct {
@@ -296,19 +308,25 @@ type nbrPair struct {
 	w    uint64
 }
 
-func newRefiner(g *graph.Graph) *refiner {
-	return &refiner{g: g, codes: make([]uint64, g.N())}
+func newRefiner(g *graph.Graph, budget int64) *refiner {
+	return &refiner{g: g, codes: make([]uint64, g.N()), budget: budget}
 }
 
 // refine iterates WL rounds from the given colouring until the class
 // count stops growing (the partition is stable: each round's colouring
 // refines the previous one, so an unchanged count means an unchanged
-// partition), returning the stable ranks, class count, and rounds
-// taken. ok is false when maxRounds passed without stabilizing.
-func (r *refiner) refine(ranks []int, maxRounds int) ([]int, int, int, bool) {
+// partition), returning the stable ranks and class count. ok is false
+// when the next round would pass the work budget; a round is charged
+// before it runs, so the work spent never exceeds the budget.
+func (r *refiner) refine(ranks []int) ([]int, int, bool) {
 	n := r.g.N()
+	cost := int64(n + r.g.M())
 	classes := countClasses(ranks)
-	for round := 1; round <= maxRounds; round++ {
+	for {
+		if r.work+cost > r.budget {
+			return nil, 0, false
+		}
+		r.work += cost
 		for v := 0; v < n; v++ {
 			r.pairs = r.pairs[:0]
 			r.g.Neighbors(v, func(u int, w float64) {
@@ -329,14 +347,13 @@ func (r *refiner) refine(ranks []int, maxRounds int) ([]int, int, int, bool) {
 		}
 		next, nextClasses := denseRank(r.codes)
 		if nextClasses == classes {
-			return next, nextClasses, round, true
+			return next, nextClasses, true
 		}
 		ranks, classes = next, nextClasses
 		if classes == n {
-			return ranks, classes, round, true
+			return ranks, classes, true
 		}
 	}
-	return nil, 0, maxRounds, false
 }
 
 func countClasses(ranks []int) int {
@@ -353,7 +370,6 @@ func countClasses(ranks []int) int {
 type searcher struct {
 	g        *graph.Graph
 	r        *refiner
-	opt      Options
 	nodes    int
 	refused  bool
 	best     []byte
@@ -395,10 +411,6 @@ func (s *searcher) explore(ranks []int, classes int) {
 	}
 	for _, v := range cell {
 		s.nodes++
-		if s.nodes > s.opt.MaxBranch {
-			s.refused = true
-			return
-		}
 		// Individualize v: split its class into {v} (ordered first) and
 		// the rest, then re-refine to a new stable partition.
 		codes := make([]uint64, n)
@@ -407,7 +419,7 @@ func (s *searcher) explore(ranks []int, classes int) {
 		}
 		codes[v] = uint64(ranks[v]) * 2
 		indiv, _ := denseRank(codes)
-		next, nextClasses, _, ok := s.r.refine(indiv, s.opt.MaxRounds)
+		next, nextClasses, ok := s.r.refine(indiv)
 		if !ok {
 			s.refused = true
 			return

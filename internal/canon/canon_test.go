@@ -133,33 +133,112 @@ func TestWLEquivalentNonIsomorphicPairDistinct(t *testing.T) {
 	}
 }
 
-// TestLargeAutomorphismClassRefused pins the documented escape hatch:
-// refinement on a big regular pair (C16 vs two C8s) stabilizes with a
-// single 16-vertex colour class, over the default MaxClass — both must
-// be refused so the caller falls back to the label-sensitive key.
+// TestLargeAutomorphismClassRefused pins the class cap: refinement on a
+// big regular pair (C16 vs two C8s) stabilizes with a single 16-vertex
+// colour class, over maxClass — both are refused after one round so
+// the caller keys them by their labelled forms.
 func TestLargeAutomorphismClassRefused(t *testing.T) {
-	if _, ok := Canonicalize(cycle(16, 1)); ok {
-		t.Fatal("C16 should be refused under default MaxClass")
-	}
-	if _, ok := Canonicalize(disjointCycles(2, 8, 1)); ok {
-		t.Fatal("2xC8 should be refused under default MaxClass")
-	}
-	// With a raised class budget the same pair canonicalizes — and
-	// still separates.
-	opt := Options{MaxClass: 16, MaxBranch: 1 << 14}
-	a, ok1 := CanonicalizeOpts(cycle(16, 1), opt)
-	b, ok2 := CanonicalizeOpts(disjointCycles(2, 8, 1), opt)
-	if !ok1 || !ok2 {
-		t.Fatal("raised budgets should canonicalize the pair")
-	}
-	if a.Fingerprint == b.Fingerprint {
-		t.Fatal("C16 and 2xC8 must not share a fingerprint")
+	for name, g := range map[string]*graph.Graph{"C16": cycle(16, 1), "2xC8": disjointCycles(2, 8, 1)} {
+		f, work := canonicalize(g, budget(g))
+		if f != nil {
+			t.Fatalf("%s should be refused by the class cap", name)
+		}
+		if want := int64(g.N() + g.M()); work != want {
+			t.Fatalf("%s: refusal spent %d work units, want one round (%d)", name, work, want)
+		}
 	}
 }
 
+// TestBranchBudgetRefuses: a budget that runs out inside the tie-break
+// search refuses; it never returns the best certificate of a partial
+// search.
 func TestBranchBudgetRefuses(t *testing.T) {
-	if _, ok := CanonicalizeOpts(cycle(8, 1), Options{MaxBranch: 2}); ok {
-		t.Fatal("an exhausted branch budget must refuse, not return a partial search's answer")
+	g := cycle(8, 1)
+	// One round of root refinement plus three more: the search has
+	// started (the class of 8 is within the cap) but cannot finish.
+	if f, _ := canonicalize(g, 4*int64(g.N()+g.M())); f != nil {
+		t.Fatal("an exhausted budget must refuse, not return a partial search's answer")
+	}
+	if _, ok := Canonicalize(g); !ok {
+		t.Fatal("C8 must canonicalize under the default budget")
+	}
+}
+
+// twoClique is hgpload's synthetic instance: two 4-cliques of weight
+// 10 joined by one weak bridge, equal demands. Its stable partition
+// has three classes and its tie-break search 126 branches.
+func twoClique() *graph.Graph {
+	g := graph.New(8)
+	for v := 0; v < 8; v++ {
+		g.SetDemand(v, 0.5)
+	}
+	for b := 0; b < 8; b += 4 {
+		for i := b; i < b+4; i++ {
+			for j := i + 1; j < b+4; j++ {
+				g.AddEdge(i, j, 10)
+			}
+		}
+	}
+	g.AddEdge(0, 4, 1)
+	return g
+}
+
+// TestBudgetBoundsWholeSearch counts work, not time: the two-clique's
+// full search costs a fixed number of rounds × (n + m). Every smaller
+// budget — including ones the root refinement fits in, so the cut falls
+// inside the tie-break search — refuses without spending more than it
+// was given, and the full amount canonicalizes.
+func TestBudgetBoundsWholeSearch(t *testing.T) {
+	g := twoClique()
+	full, work := canonicalize(g, budget(g))
+	if full == nil {
+		t.Fatal("the two-clique must canonicalize under the default budget")
+	}
+	unit := int64(g.N() + g.M())
+	if work%unit != 0 || full.Branches != 126 {
+		t.Fatalf("work %d over %d branches; want whole rounds of n+m = %d and 126 branches", work, full.Branches, unit)
+	}
+	if work > budget(g) {
+		t.Fatalf("work %d exceeds the budget %d", work, budget(g))
+	}
+	for b := int64(0); b < work; b += unit / 2 {
+		f, spent := canonicalize(g, b)
+		if f != nil {
+			t.Fatalf("budget %d < %d canonicalized", b, work)
+		}
+		if spent > b {
+			t.Fatalf("budget %d: spent %d", b, spent)
+		}
+	}
+	f, spent := canonicalize(g, work)
+	if f == nil || spent != work || f.Fingerprint != full.Fingerprint {
+		t.Fatalf("the exact budget %d must canonicalize to the same form (spent %d)", work, spent)
+	}
+}
+
+// TestBudgetRefusesLongRefinement: a uniform 45×45 grid needs hundreds
+// of rounds to stabilize and its search eight branches more; the
+// budget cuts it after about budgetRounds rounds, whatever the labels.
+func TestBudgetRefusesLongRefinement(t *testing.T) {
+	g := graph.New(45 * 45)
+	for r := 0; r < 45; r++ {
+		for c := 0; c < 45; c++ {
+			v := r*45 + c
+			g.SetDemand(v, 1)
+			if c+1 < 45 {
+				g.AddEdge(v, v+1, 1)
+			}
+			if r+1 < 45 {
+				g.AddEdge(v, v+45, 1)
+			}
+		}
+	}
+	f, work := canonicalize(g, budget(g))
+	if f != nil {
+		t.Fatal("a uniform 45x45 grid must be refused")
+	}
+	if work > budget(g) {
+		t.Fatalf("work %d exceeds the budget %d", work, budget(g))
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package canon computes canonical forms of weighted graphs so that
-// isomorphic submissions — the same topology under relabelled vertex
-// IDs, the common case when autoscaled tenants resubmit replicas of one
-// pipeline/diamond/join-tree family — map to a single label-invariant
-// cache identity.
+// Package canon gives every graph submitted to hgpd one cache identity,
+// a Form, so that isomorphic submissions — the same topology under
+// relabelled vertex IDs, the common case when autoscaled tenants
+// resubmit replicas of one pipeline/diamond/join-tree family — map to a
+// single label-invariant key.
 //
 // Canonicalize runs iterated Weisfeiler–Leman colour refinement over
 // the graph (vertex demands seed the colours; each round absorbs the
@@ -15,18 +15,25 @@
 // graph's serialization, the permutation that produced it, and the
 // canonically relabelled graph itself.
 //
-// Two escape hatches keep the worst case cheap, at the cost of a
-// missed cross-user hit (never a wrong one): graphs whose stable
-// partition contains a colour class larger than Options.MaxClass, or
-// whose tie-break search exceeds Options.MaxBranch nodes, are refused —
-// callers fall back to the label-sensitive cache key. Soundness never
-// depends on WL completeness: the fingerprint covers the canonical
-// serialization, so WL-equivalent non-isomorphic graphs either receive
-// distinct fingerprints (tie-break resolved them) or are refused —
-// they can never collide.
+// One work budget keeps the worst case cheap: every WL round, at the
+// root and in every branch of the search, is charged n + m, and a graph
+// whose search would pass 8·(n + m) + 16 384 is refused; so is one
+// whose first stable partition has a colour class over 8 (tori,
+// complete bipartite graphs), after one round. Both rules count only
+// label-invariant work, so relabellings of one graph are all refused or
+// all canonicalized. A refused graph is keyed by Labelled: its own
+// serialization under the identity permutation, fingerprinted in the
+// same domain — a missed cross-user hit, never a wrong one.
 //
-// internal/cache derives domain-separated v2 cache keys from the
-// Fingerprint, and internal/server translates cached canonical-space
-// placements back through Form.TranslateAssignment. See DESIGN.md §12
-// for the soundness argument.
+// Soundness never depends on WL completeness, nor on the form's kind:
+// the fingerprint covers the serialization of the form's graph, so two
+// forms — canonical or labelled — share a fingerprint only if their
+// graphs are byte-identical, and WL-equivalent non-isomorphic graphs
+// either receive distinct fingerprints (the tie-break resolved them)
+// or are refused.
+//
+// internal/cache derives every cache key from the Fingerprint, and
+// internal/server translates cached placements back through
+// Form.TranslateAssignment. See DESIGN.md §12 for the soundness
+// argument and the measured budget.
 package canon

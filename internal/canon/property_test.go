@@ -77,24 +77,28 @@ func generatorCases() []generatorCase {
 // TestFingerprintPermutationInvariance is the tentpole property: for
 // every generator family, random vertex relabellings either all
 // canonicalize to the same fingerprint AND byte-identical canonical
-// graph, or all refuse (the refusal decision is itself
-// label-invariant — it depends only on the stable partition's class
-// structure).
+// graph, or all refuse. The refusal decision is itself label-invariant
+// because the work the budget counts is: every relabelling spends the
+// same work.
 func TestFingerprintPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range generatorCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.make(rng)
-			base, ok := Canonicalize(g)
+			base, work := canonicalize(g, budget(g))
+			ok := base != nil
 			if ok != tc.wantCanon {
 				t.Fatalf("Canonicalize ok=%v, family expects %v", ok, tc.wantCanon)
 			}
 			for trial := 0; trial < 4; trial++ {
 				perm := randPerm(rng, g.N())
 				pg := Permute(g, perm)
-				pf, pok := Canonicalize(pg)
-				if pok != ok {
+				pf, pwork := canonicalize(pg, budget(pg))
+				if pok := pf != nil; pok != ok {
 					t.Fatalf("trial %d: refusal decision flipped under relabelling (ok=%v, was %v)", trial, pok, ok)
+				}
+				if pwork != work {
+					t.Fatalf("trial %d: relabelling spent %d work units, the original %d", trial, pwork, work)
 				}
 				if !ok {
 					continue

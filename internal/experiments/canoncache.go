@@ -22,8 +22,9 @@ import (
 // (autoscalers and schedulers renumber operators; the graph does not
 // change). The experiment replays ONE request schedule through two
 // copies of the daemon's cache stack — result LRU, then decomposition
-// LRU, then a full build+solve — once with label-sensitive keys
-// (canon=off) and once keyed by the canonical fingerprint (canon=on).
+// LRU, then a full build+solve — once keyed by each request's labelled
+// form (canon=off, what a refused graph gets) and once by its canonical
+// form (canon=on).
 //
 // A small identity fraction of the schedule resubmits instances with
 // their original labelling, so the canon=off baseline's hit ratio is
@@ -103,30 +104,28 @@ func E25CanonCache(cfg Config) *Table {
 			if req.perm != nil {
 				g = canon.Permute(g, req.perm)
 			}
+			// The request's cache identity, as the daemon derives it: the
+			// canonical form when canon is on and the graph canonicalizes,
+			// otherwise the labelled form in the same fingerprint domain.
 			var cn *canon.Form
-			gSolve := g
 			if canonOn {
-				if f, ok := canon.Canonicalize(g); ok {
-					cn, gSolve = f, f.Graph
-				} else {
+				var ok bool
+				if cn, ok = canon.Canonicalize(g); !ok {
 					fallbacks++
 				}
 			}
-			var rkey string
-			if cn != nil {
-				rkey = cache.ResultKeyCanon(cn.Fingerprint, h, opts, sv.Eps, sv.MaxStates)
-			} else {
-				rkey = cache.ResultKey(g, h, opts, sv.Eps, sv.MaxStates)
+			if cn == nil {
+				cn = canon.Labelled(g)
 			}
+			gSolve := cn.Graph
+			rkey := cache.ResultKeyCanon(cn.Fingerprint, h, opts, sv.Eps, sv.MaxStates)
 
 			t0 := time.Now()
 			if v, ok := results.Get(rkey); ok {
 				// Warm path: exactly what the daemon serves — translate the
-				// canonical-space assignment through THIS request's perm.
+				// form-space assignment through THIS request's perm.
 				res := v.(*hgp.Result)
-				if cn != nil {
-					_ = cn.TranslateAssignment(res.Assignment)
-				}
+				_ = cn.TranslateAssignment(res.Assignment)
 				warmMS = append(warmMS, ms(time.Since(t0)))
 				hits++
 				// Soundness probe, outside the timed path: re-solve this
@@ -149,22 +148,13 @@ func E25CanonCache(cfg Config) *Table {
 			}
 
 			// Cold path: decomposition LRU, then a full build.
-			var dkey string
-			if cn != nil {
-				dkey = cache.DecompKeyCanon(cn.Fingerprint, opts)
-			} else {
-				dkey = cache.DecompKey(gSolve, opts)
-			}
+			dkey := cache.DecompKeyCanon(cn.Fingerprint, opts)
 			var dec *treedecomp.Decomposition
 			if v, ok := decomps.Get(dkey); ok {
 				dec = v.(*cache.DecompEntry).Dec
 			} else {
 				dec = treedecomp.Build(gSolve, opts)
-				var perm []int
-				if cn != nil {
-					perm = cn.Perm
-				}
-				decomps.Add(dkey, &cache.DecompEntry{Dec: dec, Perm: perm})
+				decomps.Add(dkey, &cache.DecompEntry{Dec: dec, Perm: cn.Perm})
 			}
 			res, err := sv.SolveDecomposition(ctx, gSolve, h, dec)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
+	"hierpart/internal/canon"
 	"hierpart/internal/gen"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
@@ -62,7 +63,7 @@ func E23WarmRestart(cfg Config) *Table {
 		gen.EqualDemands(g, 0.6*float64(h.Leaves())/float64(g.N()))
 		sv := hgp.Solver{Eps: 0.5, Trees: 4, Seed: cfg.Seed + 23, Workers: cfg.Workers, Prune: cfg.Prune}
 		opts := sv.DecompOptions()
-		key := cache.DecompKey(g, opts)
+		key := cache.DecompKeyCanon(canon.Labelled(g).Fingerprint, opts)
 
 		// Snapshot once, exactly as the daemon's flusher would.
 		store, err := diskstore.Open(dir, 0, telemetry.NewRegistry())

@@ -190,10 +190,10 @@ func (s Solver) Solve(t *tree.Tree, H *hierarchy.Hierarchy) (*Solution, error) {
 	return s.SolveContext(context.Background(), t, H)
 }
 
-// SolveContext is Solve with cancellation: the DP stops at the next
-// table completion (or shard completion, under the concurrent
-// scheduler) once ctx is done and returns the context's error, so a
-// dead client or an expired deadline stops burning the worker budget
+// SolveContext is Solve with cancellation: once ctx is done the DP
+// stops within a few thousand merge candidates — inside a node's merge,
+// not only between tables — and returns the context's error, so a dead
+// client or an expired deadline stops burning the worker budget
 // mid-solve. On success the DP duration is recorded in
 // telemetry.Default under phase_dp_seconds.
 func (s Solver) SolveContext(ctx context.Context, t *tree.Tree, H *hierarchy.Hierarchy) (*Solution, error) {
@@ -299,6 +299,13 @@ type dpRun struct {
 	literalEq4    bool       // ablation: Equation (4) verbatim
 	noZeroRegions bool       // ablation: forbid zero-demand mirror regions
 	pruneOn       bool       // dominance-prune every table as it freezes
+
+	// stopped is set once the run's context is done (context.AfterFunc,
+	// registered by runTables). The merge loops load it every
+	// stopPollEvery candidates, so one long near-root merge stops soon
+	// after the deadline instead of running to completion; a table cut
+	// short is discarded and the run returns the context's error.
+	stopped atomic.Bool
 
 	// applied tracks (as float bits) the tightest bound value loadBound
 	// has returned: the fact an abort proves (optimum > minApplied), and
@@ -451,7 +458,8 @@ func regionDepth(sig []int) int {
 // cost every completion must still pay in subtrees disjoint from v
 // (futureMin; +Inf ceiling when unbounded). Tightening the ceiling per
 // node never changes the solve's outcome — see the invariant note on
-// futureMin in scheduler.go.
+// futureMin in scheduler.go. It returns nil when the run was cancelled
+// mid-merge.
 func (d *dpRun) table(v int, tabs []*dpTable, effBound float64) *dpTable {
 	sc := d.scratch.Get().(*dpScratch)
 	if d.bt.IsLeaf(v) {
@@ -464,24 +472,42 @@ func (d *dpRun) table(v int, tabs []*dpTable, effBound float64) *dpTable {
 		return d.newTable([]tableRow{{key: key, entry: entry{kind: 0}}})
 	}
 	kids := d.bt.Children(v)
+	var done bool
 	switch len(kids) {
 	case 1:
-		d.oneChildTable(sc, kids[0], tabs[kids[0]], effBound)
+		done = d.oneChildTable(sc, kids[0], tabs[kids[0]], effBound)
 	case 2:
 		c1, c2 := kids[0], kids[1]
-		d.crossInto(sc, tabs[c1], d.bt.EdgeWeight(c1), 0, 1, tabs[c2], d.bt.EdgeWeight(c2), effBound)
+		done = d.crossInto(sc, tabs[c1], d.bt.EdgeWeight(c1), 0, 1, tabs[c2], d.bt.EdgeWeight(c2), effBound)
 	default:
 		panic("hgpt: tree not binarized")
 	}
+	if !done {
+		d.discard(sc)
+		return nil
+	}
 	return d.freeze(sc)
+}
+
+// stopPollEvery is how many merge candidates (cut-threshold
+// combinations of a row or a row pair) the merge loops examine between
+// two loads of the run's stop flag.
+const stopPollEvery = 4096
+
+// discard drops a build index cut short by cancellation: its entries
+// never reach a table, and sc goes back to the pool empty.
+func (d *dpRun) discard(sc *dpScratch) {
+	clear(sc.idx)
+	d.scratch.Put(sc)
 }
 
 // oneChildTable merges a single child table upward into the build index
 // sc.idx (c1 is v's only child, tab its table). Rows arrive cost-sorted
 // and merge increments are never negative, so the scan stops at the
 // first row above the ceiling: none of its candidates — the
-// unchanged-signature fast path's included — could pass the filter.
-func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound float64) {
+// unchanged-signature fast path's included — could pass the filter. It
+// reports false when the run was cancelled before the merge finished.
+func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound float64) bool {
 	h := d.h
 	stride := h + 1
 	w1 := d.bt.EdgeWeight(c1)
@@ -490,6 +516,7 @@ func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound floa
 	if d.noZeroRegions {
 		maxSp = 0
 	}
+	poll := stopPollEvery
 	for i1 := range tab.rows {
 		k1, base := tab.rows[i1].key, tab.rows[i1].cost
 		if base > effBound {
@@ -502,6 +529,12 @@ func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound floa
 		// depth itself, and spontaneous prefixes swallowed by the kept
 		// child region (sp ≤ j1) duplicate sp = 0 — see regionDepth.
 		m1 := tab.depth[i1]
+		if poll -= m1 + 1; poll <= 0 {
+			if d.stopped.Load() {
+				return false
+			}
+			poll = stopPollEvery
+		}
 		for j1 := 0; j1 <= m1; j1++ {
 			for sp := 0; sp <= maxSp; {
 				if j1 == m1 && sp == 0 {
@@ -532,6 +565,7 @@ func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound floa
 			}
 		}
 	}
+	return true
 }
 
 // crossInto merges rows start, start+step, start+2·step, … of child
@@ -544,10 +578,11 @@ func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound floa
 // node by dealing t1's rows round-robin (step = shard count), so every
 // shard gets a share of the cheap rows that survive the ceiling; the
 // row partition never changes the merged result because putEntry keeps
-// a total-order minimum per key.
-func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step int, t2 *dpTable, w2 float64, effBound float64) {
+// a total-order minimum per key. It reports false when the run was
+// cancelled before the merge finished.
+func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step int, t2 *dpTable, w2 float64, effBound float64) bool {
 	if len(t2.rows) == 0 {
-		return
+		return true
 	}
 	h := d.h
 	stride := h + 1
@@ -557,6 +592,7 @@ func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step in
 	}
 	out, parent := sc.idx, sc.parent
 	min2 := t2.rows[0].cost
+	poll := stopPollEvery
 	for i1 := start; i1 < len(t1.rows); i1 += step {
 		k1, c1 := t1.rows[i1].key, t1.rows[i1].cost
 		if c1+min2 > effBound {
@@ -572,6 +608,12 @@ func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step in
 			s2 := t2.sig(i2, stride)
 			k2 := t2.rows[i2].key
 			m2 := t2.depth[i2]
+			if poll -= (m1 + 1) * (m2 + 1); poll <= 0 {
+				if d.stopped.Load() {
+					return false
+				}
+				poll = stopPollEvery
+			}
 			// Cut thresholds past each child's region depth duplicate the
 			// depth itself, and spontaneous prefixes swallowed by the kept
 			// child regions (sp ≤ max(j1, j2)) duplicate sp = 0 — see
@@ -602,6 +644,7 @@ func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step in
 			}
 		}
 	}
+	return true
 }
 
 // mergeLevel derives the parent signature for the child states s1 (and

@@ -44,10 +44,12 @@ var shardMinPairs = 2048
 // up to `workers` goroutines, returning the tables and the total state
 // count. workers ≤ 1 runs the plain sequential post-order walk. pruneOn
 // is recorded on the run: every table it freezes is dominance-pruned.
-// Cancellation is polled once per completed table (and per shard under
-// the scheduler): the granularity of one node's merge.
+// Cancellation is polled before every table (and shard under the
+// scheduler) and, through the run's stop flag, inside every merge.
 func (d *dpRun) runTables(ctx context.Context, workers, maxStates int, pruneOn bool) ([]*dpTable, int, error) {
 	d.pruneOn = pruneOn
+	stop := context.AfterFunc(ctx, func() { d.stopped.Store(true) })
+	defer stop()
 	if workers <= 1 {
 		tabs := make([]*dpTable, d.bt.N())
 		states := 0
@@ -162,7 +164,11 @@ func (d *dpRun) safeTable(ctx context.Context, v int, tabs []*dpTable, effBound 
 	if err := faultinject.Fire(ctx, faultinject.HgptTable); err != nil {
 		return nil, err
 	}
-	return d.table(v, tabs, effBound), nil
+	if tab = d.table(v, tabs, effBound); tab == nil {
+		// Cut short by cancellation: the partial table goes nowhere.
+		return nil, ctx.Err()
+	}
+	return tab, nil
 }
 
 // tableSched is the dependency-counting scheduler state. tabs[v] is
@@ -315,8 +321,8 @@ func (s *tableSched) enqueue(tasks ...func()) {
 
 // cancelled reports whether the run's context is done, and on the first
 // observation records the context error and stops the pool. Every task
-// polls it before starting work, so cancellation latency is bounded by
-// the longest single node merge (or shard, when sharded).
+// polls it before starting work; inside a merge the run's stop flag
+// bounds the latency to a few thousand candidates.
 func (s *tableSched) cancelled() bool {
 	err := s.ctx.Err()
 	if err == nil {
@@ -393,7 +399,13 @@ func (s *tableSched) shardNode(v, c1, c2 int) {
 				return
 			}
 			sc := d.scratch.Get().(*dpScratch)
-			d.crossInto(sc, t1, w1, i, shards, t2, w2, effBound)
+			if !d.crossInto(sc, t1, w1, i, shards, t2, w2, effBound) {
+				// Cut short by cancellation: this shard never counts down,
+				// so the node is never folded; the run ends with ctx's error.
+				d.discard(sc)
+				s.cancelled()
+				return
+			}
 			partials[i] = sc
 			if atomic.AddInt32(&left, -1) == 0 {
 				s.complete(v, d.fold(partials), effBound)

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"hierpart/internal/cache"
+	"hierpart/internal/canon"
 	"hierpart/internal/metrics"
 	"hierpart/internal/telemetry"
 )
@@ -65,7 +67,7 @@ func getStats(t *testing.T, h http.Handler) StatsResponse {
 }
 
 // TestCanonCrossUserResultCacheHit is the tentpole end to end: with
-// -canon, a relabelled resubmission of a solved instance is answered
+// Canon on (as under hgpd), a relabelled resubmission of a solved instance is answered
 // from the full-result cache (canon_hit true), its assignment is
 // translated back through its own permutation, and its cost is
 // bit-identical to the first submission's — both are the same
@@ -157,9 +159,10 @@ func TestCanonDecompCacheHit(t *testing.T) {
 	checkTranslated(t, second, resp2)
 }
 
-// Without -canon nothing changes: relabelled submissions miss (the
-// label-sensitive keys differ), canon_hit never appears, and the stats
-// block reports disabled with zero counters.
+// With Canon off every request is keyed by its labelled form:
+// relabelled submissions miss (their labelled fingerprints differ),
+// canon_hit never appears, and the stats block reports disabled with
+// zero counters.
 func TestCanonOffRelabelledMisses(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := newTestServer(t, Config{Registry: reg})
@@ -187,9 +190,11 @@ func TestCanonOffRelabelledMisses(t *testing.T) {
 }
 
 // A graph that refuses to canonicalize (C16: its stable partition is
-// one 16-vertex class, over MaxClass) falls back to the label-sensitive
-// keys — the request still succeeds, identical resubmissions still hit,
-// and canon_hit stays false because the hit was not label-invariant.
+// one 16-vertex class, over the class cap) is keyed by its labelled
+// form in the canonical domain — the request still succeeds, its
+// entries sit under the labelled fingerprint's keys with no stored
+// permutation, identical resubmissions still hit, and canon_hit stays
+// false because the hit was not label-invariant.
 func TestCanonFallbackServesLabelSensitive(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := newTestServer(t, Config{Canon: true, Registry: reg})
@@ -211,6 +216,22 @@ func TestCanonFallbackServesLabelSensitive(t *testing.T) {
 	if got := reg.Counter("canon_fallback_total").Value(); got != 1 {
 		t.Fatalf("canon_fallback_total = %d, want 1", got)
 	}
+	g, H, err := req.Instance.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := solverFor(req, s.cfg)
+	fp := canon.Labelled(g).Fingerprint
+	if _, ok := s.results.Peek(cache.ResultKeyCanon(fp, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)); !ok {
+		t.Fatal("the result must sit under the labelled form's result key")
+	}
+	v, ok := s.dec.Peek(cache.DecompKeyCanon(fp, sv.DecompOptions()))
+	if !ok {
+		t.Fatal("the decomposition must sit under the labelled form's key")
+	}
+	if perm := v.(*cache.DecompEntry).Perm; perm != nil {
+		t.Fatalf("a labelled entry must store no permutation, got %v", perm)
+	}
 
 	rec = postPartition(t, s.Handler(), req)
 	if rec.Code != http.StatusOK {
@@ -218,9 +239,9 @@ func TestCanonFallbackServesLabelSensitive(t *testing.T) {
 	}
 	resp := decodeResponse(t, rec)
 	if !resp.ResultCacheHit {
-		t.Fatal("identical resubmission must still hit through the label-sensitive key")
+		t.Fatal("identical resubmission must still hit through the labelled form's key")
 	}
 	if resp.CanonHit {
-		t.Fatal("a label-sensitive hit must not claim canon_hit")
+		t.Fatal("a labelled form's hit must not claim canon_hit")
 	}
 }

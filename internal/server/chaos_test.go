@@ -48,11 +48,21 @@ func waitGoroutines(t *testing.T, base int) {
 // deadline is never overshot by more than a poll interval; and no
 // goroutines or solve slots leak.
 func TestChaosBattery(t *testing.T) {
+	const (
+		rounds    = 48
+		burst     = 8
+		timeoutMS = 250
+	)
 	reg := telemetry.NewRegistry()
 	// Result caching off: warm repeats would otherwise bypass the ladder
 	// entirely, and this battery exists to stress the ladder under
-	// faults. The result cache has its own httptest suite.
-	s := newTestServer(t, Config{Registry: reg, MaxConcurrent: 4, MaxQueue: 64, ResultCacheEntries: -1})
+	// faults. The result cache has its own httptest suite. As many solve
+	// slots as the concurrent phase sends requests, so every request is
+	// admitted on arrival: with fewer, under CPU contention a waiter can
+	// outlive its deadline in the waiting room and be shed 504 by
+	// admission, as specified — not a ladder failure (admission has its
+	// own tests).
+	s := newTestServer(t, Config{Registry: reg, MaxConcurrent: rounds / 2, MaxQueue: 64, ResultCacheEntries: -1})
 	base := runtime.NumGoroutine()
 
 	injected := errors.New("chaos: injected phase error")
@@ -73,11 +83,6 @@ func TestChaosBattery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const (
-		rounds    = 48
-		burst     = 8
-		timeoutMS = 250
-	)
 	codes := map[int]int{}
 	var mu sync.Mutex
 	oneRound := func(seed int64) {

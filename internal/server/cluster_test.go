@@ -15,6 +15,7 @@ import (
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
+	"hierpart/internal/canon"
 	"hierpart/internal/faultinject"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
@@ -126,7 +127,7 @@ func decompKeyFor(t *testing.T, req PartitionRequest) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cache.DecompKey(g, solverFor(req, Config{}.withDefaults()).DecompOptions())
+	return cache.DecompKeyCanon(canon.Labelled(g).Fingerprint, solverFor(req, Config{}.withDefaults()).DecompOptions())
 }
 
 func resultKeyFor(t *testing.T, req PartitionRequest) string {
@@ -136,7 +137,7 @@ func resultKeyFor(t *testing.T, req PartitionRequest) string {
 		t.Fatal(err)
 	}
 	sv := solverFor(req, Config{}.withDefaults())
-	return cache.ResultKey(g, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
+	return cache.ResultKeyCanon(canon.Labelled(g).Fingerprint, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
 }
 
 func nodeIndex(nodes []*testNode, url string) int {

@@ -83,8 +83,8 @@ type PartitionResponse struct {
 	// not a quality marker. Coalesced waiters behind a fetching request
 	// do not set it.
 	PeerFetchHit bool `json:"peer_fetch_hit,omitempty"`
-	// CanonHit reports that this request canonicalized (-canon) and was
-	// answered from a cache keyed by the label-invariant fingerprint —
+	// CanonHit reports that this request canonicalized and was answered
+	// from a cache keyed by its label-invariant fingerprint —
 	// either a decomposition hit (CacheHit) or a full-result hit
 	// (ResultCacheHit). The hit may have been written by a different
 	// user's isomorphic submission; the assignment was translated back
@@ -145,38 +145,18 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Canonicalization: map the submission to its canonical vertex
-	// ordering so every cache below keys on the label-invariant
-	// fingerprint and the solver runs in canonical space. A refusal
-	// (large automorphism class, exhausted tie-break budget) falls back
-	// to the label-sensitive keys — a missed cross-user hit, never a
-	// wrong one.
-	var cn *canon.Form
-	gSolve := g
-	if s.cfg.Canon {
-		s.reg.Counter("canon_attempts_total").Inc()
-		if f, ok := canon.Canonicalize(g); ok {
-			s.reg.Counter("canon_ok_total").Inc()
-			cn = f
-			gSolve = f.Graph
-		} else {
-			s.reg.Counter("canon_fallback_total").Inc()
-		}
-	}
+	// Every cache below keys on cn's fingerprint, and the solver runs on
+	// cn.Graph.
+	cn := s.identify(g)
 
 	// Result-cache precheck, before any admission cost is paid: a repeat
 	// of a completed full-quality solve is served straight from memory —
 	// no breaker probe, no queue slot, no decomposition, no DP. The key
-	// (cache.ResultKey, or cache.ResultKeyCanon once canonicalized)
 	// covers everything that shapes the returned placement; Workers is
 	// excluded because results are bit-identical at every worker count.
 	var rkey string
 	if s.results != nil {
-		if cn != nil {
-			rkey = cache.ResultKeyCanon(cn.Fingerprint, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
-		} else {
-			rkey = cache.ResultKey(g, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
-		}
+		rkey = cache.ResultKeyCanon(cn.Fingerprint, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
 		if v, ok := s.results.Get(rkey); ok {
 			s.reg.Counter("result_cache_hits_total").Inc()
 			s.writePartitionOK(w, start, v.(*hgp.Result), false, true, false, 0, 0, nil, cn)
@@ -230,7 +210,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	runSolve := func() (*solveOutcome, error) {
 		oc := &solveOutcome{}
 		if req.NoDegrade {
-			res, hit, dd, sd, serr := s.solve(ctx, gSolve, H, sv, cn)
+			res, hit, dd, sd, serr := s.solve(ctx, cn.Graph, H, sv, cn)
 			if serr != nil {
 				return nil, serr
 			}
@@ -261,7 +241,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 				phaseMu.Unlock()
 				return r, serr
 			}
-			out, serr := anytime.Solve(ctx, gSolve, H, ladderOpts)
+			out, serr := anytime.Solve(ctx, cn.Graph, H, ladderOpts)
 			if serr != nil {
 				return nil, serr
 			}
@@ -349,12 +329,12 @@ type solveOutcome struct {
 // latency histogram only sees real solves: a result-cache hit did no
 // solving and would drag the distribution toward zero.
 //
-// With a canonical form (cn non-nil) res lives in canonical space —
-// possibly shared with other requests through the caches — so the
-// assignment is translated back through this request's own permutation
-// into a FRESH slice before rendering; the cached result is never
-// mutated. Cost, violations, and per-tree costs are label-invariant
-// and pass through untouched.
+// res lives in the space of the request's form cn — possibly shared
+// with other requests through the caches — so the assignment is
+// translated back through this request's own permutation into a FRESH
+// slice before rendering; the cached result is never mutated. Cost,
+// violations, and per-tree costs are label-invariant and pass through
+// untouched.
 func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *hgp.Result, cacheHit, resultHit, peerFetch bool, decompDur, solveDur time.Duration, degResp *DegradationResponse, cn *canon.Form) {
 	perTree := make([]*float64, len(res.PerTreeCosts))
 	for i, c := range res.PerTreeCosts {
@@ -363,18 +343,11 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *h
 			perTree[i] = &c
 		}
 	}
-	assignment := res.Assignment
-	canonHit := false
-	if cn != nil {
-		assignment = cn.TranslateAssignment(res.Assignment)
-		// A peer fetch under -canon is a cache hit keyed by the
-		// label-invariant fingerprint — the owner's entry may have been
-		// written by a different user's isomorphic submission — so it
-		// counts as a canon hit like any local one.
-		if cacheHit || resultHit || peerFetch {
-			canonHit = true
-			s.reg.Counter("canon_hits_total").Inc()
-		}
+	// A hit on a canonical form's key, local or fetched from a peer, may
+	// have been written by a different user's isomorphic submission.
+	canonHit := cn.Canonical && (cacheHit || resultHit || peerFetch)
+	if canonHit {
+		s.reg.Counter("canon_hits_total").Inc()
 	}
 	elapsed := time.Since(start)
 	s.reg.Counter("partition_ok_total").Inc()
@@ -384,7 +357,7 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *h
 		s.reg.Histogram("solve_seconds").Observe(solveDur.Seconds())
 	}
 	writeJSON(w, http.StatusOK, PartitionResponse{
-		Assignment:     assignment,
+		Assignment:     cn.TranslateAssignment(res.Assignment),
 		Cost:           res.Cost,
 		TreeCost:       res.TreeCost,
 		TreeIndex:      res.TreeIndex,
@@ -443,8 +416,8 @@ type StatsResponse struct {
 	// tree-level concurrency across all solves. Always present.
 	Portfolio portfolioBlock `json:"portfolio"`
 	// Canon is the canonical-fingerprinting accounting. Always present;
-	// Enabled mirrors the -canon flag and the counters stay zero while
-	// it is off.
+	// Enabled mirrors Config.Canon (always true under hgpd) and the
+	// counters stay zero while it is off.
 	Canon canonBlock `json:"canon"`
 	// Cluster is the shard-group accounting: membership health and
 	// fetch/push outcome totals. Always present; with
@@ -460,10 +433,10 @@ type StatsResponse struct {
 }
 
 // canonBlock is the `canon` block of /v1/stats. Attempts split into ok
-// (canonicalized; label-invariant keys used) and fallback (refused;
-// label-sensitive keys used). HitsTotal counts responses answered from
-// a canonically-keyed cache — the cross-user reuse the fingerprint
-// exists to create.
+// (canonicalized; the canonical form keys the request) and fallback
+// (refused; the labelled form keys it). HitsTotal counts responses
+// answered from a cache under a canonical form's key — the cross-user
+// reuse the fingerprint exists to create.
 type canonBlock struct {
 	Enabled        bool  `json:"enabled"`
 	AttemptsTotal  int64 `json:"attempts_total"`

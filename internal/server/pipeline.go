@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hierpart/internal/cache"
+	"hierpart/internal/canon"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
 	"hierpart/internal/hierarchy"
@@ -109,6 +110,21 @@ func materialize(inst *instio.Instance) (*graph.Graph, *hierarchy.Hierarchy, err
 		err = errors.New("graph has no vertices")
 	}
 	return g, H, err
+}
+
+// identify returns the request's one cache identity: its canonical form
+// when Config.Canon is set and canonicalization succeeds, else its
+// labelled form.
+func (s *Server) identify(g *graph.Graph) *canon.Form {
+	if s.cfg.Canon {
+		s.reg.Counter("canon_attempts_total").Inc()
+		if f, ok := canon.Canonicalize(g); ok {
+			s.reg.Counter("canon_ok_total").Inc()
+			return f
+		}
+		s.reg.Counter("canon_fallback_total").Inc()
+	}
+	return canon.Labelled(g)
 }
 
 // solver finishes a request's solver: Workers is the server's per-solve

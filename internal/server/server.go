@@ -53,15 +53,13 @@ type Config struct {
 	// decomposition cache, and small enough that holding them on disk
 	// buys little.
 	ResultCacheEntries int
-	// Canon enables canonical-form graph fingerprinting (hgpd -canon):
-	// each submission is mapped to its canonical vertex ordering
-	// (internal/canon), both caches key on the label-invariant
-	// fingerprint, the solver runs in canonical space, and the placement
-	// is translated back through the request's own permutation before
-	// answering. Isomorphic submissions from different users then share
-	// cache entries. Graphs that refuse to canonicalize (large
-	// automorphism classes, exhausted search budget) fall back to the
-	// label-sensitive keys, counted by canon_fallback_total.
+	// Canon canonicalizes every submission (hgpd always sets it): both
+	// caches key on the canonical form's label-invariant fingerprint and
+	// the solver runs in canonical space, so isomorphic submissions
+	// share cache entries. A graph canonicalization refuses — and every
+	// graph when Canon is off — is keyed by its labelled form
+	// (internal/canon). The field stays only for perfbench, which sets
+	// it; it goes in the next benchmark change.
 	Canon bool
 	// SolverWorkers is the per-solve concurrency budget
 	// (hgp.Solver.Workers). Zero means GOMAXPROCS.
@@ -223,7 +221,7 @@ type Server struct {
 	cfg Config
 	reg *telemetry.Registry
 	dec *cache.LRU // nil when caching is disabled
-	// results holds full solve results by cache.ResultKey; nil when
+	// results holds full solve results by cache.ResultKeyCanon; nil when
 	// disabled. A hit skips admission, decomposition, and the DP.
 	results *cache.LRU
 	// flight coalesces concurrent decomposition builds for the same
@@ -266,11 +264,11 @@ type Server struct {
 	solve solveFunc
 }
 
-// solveFunc runs one partition solve. g is the graph to solve — the
-// request's canonical form when cn is non-nil, the submission as-is
-// otherwise; cn only selects the cache-key family (label-invariant vs
-// label-sensitive). It reports the result, whether the decomposition
-// came from the cache, and the decompose/solve phase durations.
+// solveFunc runs one partition solve. g is the graph to solve, the
+// request's form graph cn.Graph; cn is the request's cache identity,
+// whose fingerprint keys the decomposition cache. It reports the
+// result, whether the decomposition came from the cache, and the
+// decompose/solve phase durations.
 type solveFunc func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, s hgp.Solver, cn *canon.Form) (res *hgp.Result, cacheHit bool, decompose, solve time.Duration, err error)
 
 // New builds a Server. Call Handler to obtain its http.Handler. The
@@ -314,7 +312,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Counter("portfolio_sequential_solves_total")
 	s.reg.Gauge("portfolio_parallel_trees")
 	// Same for the canonicalization series: present at zero from the
-	// first scrape, whether or not -canon is set.
+	// first scrape, whether or not Canon is set.
 	s.reg.Counter("canon_attempts_total")
 	s.reg.Counter("canon_ok_total")
 	s.reg.Counter("canon_fallback_total")
@@ -470,13 +468,12 @@ func (s *Server) isDraining() bool {
 }
 
 // cachedSolve is the production solve backend: look the decomposition
-// up in the LRU by canonical key, build (and insert) on a miss —
-// coalescing concurrent identical misses into one build via the
-// singleflight group — then run the per-tree DPs on it. With a
-// canonical form (cn non-nil) the LRU and snapshot store key on the
-// label-invariant fingerprint and g is the canonical graph, so
-// isomorphic submissions share one entry; the stored DecompEntry
-// carries the writing request's permutation as provenance.
+// up in the LRU by the key of the request's form cn, build (and insert)
+// on a miss — coalescing concurrent identical misses into one build via
+// the singleflight group — then run the per-tree DPs on it. g is the
+// form's graph, so every submission sharing the fingerprint shares one
+// entry; the stored DecompEntry carries the writing request's
+// permutation as provenance (none for a labelled form).
 func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver, cn *canon.Form) (*hgp.Result, bool, time.Duration, time.Duration, error) {
 	if err := faultinject.Fire(ctx, faultinject.CacheLookup); err != nil {
 		return nil, false, 0, 0, err
@@ -488,12 +485,7 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 		decompDur time.Duration
 	)
 	if s.dec != nil {
-		var key string
-		if cn != nil {
-			key = cache.DecompKeyCanon(cn.Fingerprint, opts)
-		} else {
-			key = cache.DecompKey(g, opts)
-		}
+		key := cache.DecompKeyCanon(cn.Fingerprint, opts)
 		if v, ok := s.dec.Get(key); ok {
 			dec = v.(*cache.DecompEntry).Dec
 			cacheHit = true
@@ -529,16 +521,12 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 					return nil, err
 				}
 				s.reg.Counter("decomp_builds_total").Inc()
-				var perm []int
-				if cn != nil {
-					perm = cn.Perm
-				}
-				entry := &cache.DecompEntry{Dec: built, Perm: perm}
+				entry := &cache.DecompEntry{Dec: built, Perm: cn.Perm}
 				s.dec.Add(key, entry)
 				if s.store != nil {
 					// Stage for the background flusher: the expensive
 					// build outlives this process.
-					s.store.Enqueue(key, built, perm)
+					s.store.Enqueue(key, built, cn.Perm)
 				}
 				if s.cluster != nil {
 					// Replicate the freshly built entry to the key's
