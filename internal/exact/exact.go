@@ -111,13 +111,7 @@ func RHGPTBrute(t *tree.Tree, H *hierarchy.Hierarchy) float64 {
 		}
 		return s
 	}
-	cutW := func(block []int) float64 {
-		in := map[int]bool{}
-		for _, l := range block {
-			in[l] = true
-		}
-		return t.CutLeafSetOf(in).Weight
-	}
+	cutW := tree.NewCutWeight(t).Of
 	delta := func(j int) float64 { return (H.CM(j-1) - H.CM(j)) / 2 }
 
 	// cost(block, j): block is a Level-(j) set already paid for; choose

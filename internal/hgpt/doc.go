@@ -13,7 +13,12 @@
 // all parent signatures and searching for consistent child pairs (the
 // paper's O(D^{2h+2}) bound), the implementation loops over realized
 // child signature pairs and derives the unique parent signature, keeping
-// tables sparse.
+// tables sparse. The loop runs over projected child tables: a child row
+// cut above level j contributes only its demands at levels ≤ j and its
+// region depth, so each table groups its rows by those (P_j) and the
+// merge pairs only each group's cheapest row, following the rows whose
+// sums round to the same value so that the tables stay bit-identical to
+// the exhaustive merge (see dpTable and crossInto).
 //
 // Two refinements over the paper's literal presentation were required
 // for the computed optimum to match the brute-force Equation (3) optimum
@@ -39,5 +44,7 @@
 // SolveContext does the same under a context.Context, and both return a
 // Solution (leaf assignment, relaxed cost, state diagnostics).
 // FamilyCost, AssignmentFamily, and AssignmentCost bridge to the
-// laminar-family view used by the structural tests.
+// laminar-family view used by the structural tests; FamilyCost, which
+// also prices every Solution, reads each set's cut weight from one
+// tree.CutWeight.
 package hgpt

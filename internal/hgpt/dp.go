@@ -144,11 +144,16 @@ func entryLess(a, b entry) bool {
 	return a.j2 < b.j2
 }
 
-// sigCodec packs a signature (levels 1..h) into a uint64 key.
+// sigCodec packs a signature (levels 1..h) into a uint64 key, level 1 in
+// the most significant field.
 type sigCodec struct {
 	h    int
 	bits uint
 	mask uint64
+	// prefix[j] masks the fields of levels 1..j; units[j] holds a 1 in
+	// each of them, so adding or subtracting it moves every one of those
+	// fields by one.
+	prefix, units []uint64
 }
 
 func newSigCodec(h, maxVal int) (sigCodec, error) {
@@ -159,8 +164,16 @@ func newSigCodec(h, maxVal int) (sigCodec, error) {
 	if uint(h)*bits > 64 {
 		return sigCodec{}, fmt.Errorf("hgpt: signature space too large: %d levels × %d bits > 64 (reduce n or increase ε)", h, bits)
 	}
-	return sigCodec{h: h, bits: bits, mask: 1<<bits - 1}, nil
+	c := sigCodec{h: h, bits: bits, mask: 1<<bits - 1, prefix: make([]uint64, h+1), units: make([]uint64, h+1)}
+	for j := 1; j <= h; j++ {
+		c.prefix[j] = c.prefix[j-1] | c.mask<<c.shift(j)
+		c.units[j] = c.units[j-1] | 1<<c.shift(j)
+	}
+	return c, nil
 }
+
+// shift returns the bit offset of level j's field.
+func (c sigCodec) shift(j int) uint { return uint(c.h-j) * c.bits }
 
 // encode packs sig[1..h] (index 0 ignored).
 func (c sigCodec) encode(sig []int) uint64 {
@@ -178,6 +191,22 @@ func (c sigCodec) decode(k uint64, out []int) {
 		k >>= c.bits
 	}
 	out[0] = 0
+}
+
+// depths returns key k's region depth m (its deepest level with a
+// region, 0 for none) and its deepest zero-demand level z (0 for none).
+func (c sigCodec) depths(k uint64) (m, z int8) {
+	for j := c.h; j >= 1 && z == 0; j-- {
+		x := k & c.mask
+		if x != 0 && m == 0 {
+			m = int8(j)
+		}
+		if x == 1 {
+			z = int8(j)
+		}
+		k >>= c.bits
+	}
+	return m, z
 }
 
 // Solve partitions the leaves of t across the leaves of H. The tree may
@@ -219,10 +248,12 @@ func (s Solver) SolveContext(ctx context.Context, t *tree.Tree, H *hierarchy.Hie
 	// The root's rows are in (cost, key) order, so its first valid row is
 	// the optimum with ties broken by key: the chosen solution does not
 	// depend on evaluation order (results must be deterministic per seed).
+	// A root row is valid when it has no zero-demand region, which would
+	// be a mirror piece that belongs to no set.
 	rootTab := tabs[bt.Root()]
 	best := -1
 	for i := range rootTab.rows {
-		if validRoot(rootTab.sig(i, dp.h+1)) {
+		if _, z := dp.codec.depths(rootTab.rows[i].key); z == 0 {
 			best = i
 			break
 		}
@@ -274,18 +305,6 @@ func (s Solver) SolveContext(ctx context.Context, t *tree.Tree, H *hierarchy.Hie
 	}, nil
 }
 
-// validRoot reports whether a root signature can be completed: a
-// zero-demand region at the root would be a mirror piece that belongs to
-// no set.
-func validRoot(sig []int) bool {
-	for _, x := range sig[1:] {
-		if x == 1 {
-			return false
-		}
-	}
-	return true
-}
-
 type dpRun struct {
 	bt            *tree.Tree
 	h             int
@@ -299,6 +318,14 @@ type dpRun struct {
 	literalEq4    bool       // ablation: Equation (4) verbatim
 	noZeroRegions bool       // ablation: forbid zero-demand mirror regions
 	pruneOn       bool       // dominance-prune every table as it freezes
+
+	// capField[k] is the largest level-k key field a merged region may
+	// carry (capS[k]+1); capFrom is the first level whose capacity a
+	// merge can exceed (capS[k] < total: no region holds more than the
+	// total demand). capS is non-increasing in k, so only levels
+	// capFrom..h ever need the check.
+	capField []uint64
+	capFrom  int
 
 	// stopped is set once the run's context is done (context.AfterFunc,
 	// registered by runTables). The merge loops load it every
@@ -322,28 +349,35 @@ type dpRun struct {
 	reuseTabs map[string]*dpTable
 	reused    atomic.Int64
 
-	// scratch pools the per-merge signature buffers and the build index
-	// so the DP inner loop allocates nothing per child-signature pair and
-	// a run grows its index maps once rather than per table (shared
-	// safely by the concurrent scheduler: each borrower holds a distinct
+	// scratch pools the merge plans, the build index and the projection
+	// buffers so the DP inner loop allocates nothing per candidate and a
+	// run grows its index maps once rather than per table (shared safely
+	// by the concurrent scheduler: each borrower holds a distinct
 	// scratch).
 	scratch sync.Pool
 }
 
 // dpScratch is one borrower's working set. idx is the build index of
 // the node being merged: a map from signature key to its best entry so
-// far, frozen into a dpTable (and cleared) when the node completes. The
-// remaining buffers are freeze's and prune's (see prune.go): the
-// collected rows, their sort records, and one run's compressed second
-// demands and Fenwick tree.
+// far, frozen into a dpTable (and cleared) when the node completes. opts
+// holds the merge plan of one pair of child groups. The remaining
+// buffers are freeze's, prune's (see prune.go) and project's (see
+// table.go): the collected rows, their sort records, one run's
+// compressed second demands and Fenwick tree, and the projection
+// grouping.
 type dpScratch struct {
-	sig    []int
-	parent []int
-	idx    map[uint64]entry
-	rows   []tableRow
-	recs   []pruneRec
-	ys     []uint64
-	fw     minFenwick
+	sig     []int
+	idx     map[uint64]entry
+	opts    []mergeOpt
+	rows    []tableRow
+	recs    []pruneRec
+	ys      []uint64
+	fw      minFenwick
+	depth   []int8
+	next    []int32
+	recsRep []repRec
+	cur     []int32
+	groups  groupIndex
 }
 
 // newRun scales the instance and assembles the immutable DP context
@@ -402,17 +436,26 @@ func (s Solver) newRun(t *tree.Tree, H *hierarchy.Hierarchy) (*dpRun, []int, err
 	for j := 1; j <= h; j++ {
 		delta[j] = (H.CM(j-1) - H.CM(j)) / 2
 	}
+	capField := make([]uint64, h+1)
+	capFrom := h + 1
+	for j := h; j >= 1; j-- {
+		capField[j] = uint64(capS[j]) + 1
+		if capS[j] < total {
+			capFrom = j
+		}
+	}
 
 	dp := &dpRun{
 		bt: bt, h: h, codec: codec, capS: capS, delta: delta, du: du,
 		unit: unit, total: total, boundSrc: s.Bound,
 		literalEq4: s.AblateLiteralEq4, noZeroRegions: s.AblateNoZeroRegions,
+		capField: capField, capFrom: capFrom,
 	}
 	// No bound value applied yet: the tracker starts at +Inf and records
 	// every live value the run filters under (see loadBound).
 	dp.applied.Store(math.Float64bits(math.Inf(1)))
 	dp.scratch.New = func() any {
-		return &dpScratch{sig: make([]int, h+1), parent: make([]int, h+1), idx: map[uint64]entry{}}
+		return &dpScratch{sig: make([]int, h+1), idx: map[uint64]entry{}}
 	}
 	return dp, origOf, nil
 }
@@ -433,26 +476,6 @@ func putEntry(out map[uint64]entry, key uint64, e entry) {
 	}
 }
 
-// regionDepth returns the deepest level at which the signature has a
-// region. Regions always occupy a level prefix 1..m: leaves open a
-// region at every level, and a merge's level-k region exists iff a
-// child region merges through (k ≤ jᵢ, itself prefix-bounded by the
-// child's own depth) or a spontaneous region covers it (k ≤ sp) — all
-// unions of prefixes. The merge loops exploit this: cut thresholds
-// j > m are indistinguishable from j = m (no region to keep or cut at
-// the extra levels), and entryLess already canonicalizes equal-cost
-// winners to the smallest threshold, so iterating j ≤ m (and skipping
-// sp values whose spontaneous prefix is swallowed by the merged one)
-// drops only candidates that lose — or exactly tie with identical
-// backpointers — leaving every table bit-identical.
-func regionDepth(sig []int) int {
-	m := len(sig) - 1
-	for m >= 1 && sig[m] == 0 {
-		m--
-	}
-	return m
-}
-
 // table computes node v's DP table. effBound is the entry ceiling for
 // this node: the incumbent bound minus an admissible lower bound on the
 // cost every completion must still pay in subtrees disjoint from v
@@ -461,16 +484,12 @@ func regionDepth(sig []int) int {
 // futureMin in scheduler.go. It returns nil when the run was cancelled
 // mid-merge.
 func (d *dpRun) table(v int, tabs []*dpTable, effBound float64) *dpTable {
-	sc := d.scratch.Get().(*dpScratch)
 	if d.bt.IsLeaf(v) {
-		sig := sc.sig
-		for j := 1; j <= d.h; j++ {
-			sig[j] = d.du[v] + 1 // region carrying the leaf's demand
-		}
-		key := d.codec.encode(sig)
-		d.scratch.Put(sc)
+		// A region carrying the leaf's demand at every level.
+		key := (uint64(d.du[v]) + 1) * d.codec.units[d.h]
 		return d.newTable([]tableRow{{key: key, entry: entry{kind: 0}}})
 	}
+	sc := d.scratch.Get().(*dpScratch)
 	kids := d.bt.Children(v)
 	var done bool
 	switch len(kids) {
@@ -489,9 +508,9 @@ func (d *dpRun) table(v int, tabs []*dpTable, effBound float64) *dpTable {
 	return d.freeze(sc)
 }
 
-// stopPollEvery is how many merge candidates (cut-threshold
-// combinations of a row or a row pair) the merge loops examine between
-// two loads of the run's stop flag.
+// stopPollEvery is how many merge candidates (a row or a row pair under
+// one merge option) the merge loops examine between two loads of the
+// run's stop flag.
 const stopPollEvery = 4096
 
 // discard drops a build index cut short by cancellation: its entries
@@ -501,226 +520,299 @@ func (d *dpRun) discard(sc *dpScratch) {
 	d.scratch.Put(sc)
 }
 
-// oneChildTable merges a single child table upward into the build index
-// sc.idx (c1 is v's only child, tab its table). Rows arrive cost-sorted
-// and merge increments are never negative, so the scan stops at the
-// first row above the ceiling: none of its candidates — the
-// unchanged-signature fast path's included — could pass the filter. It
-// reports false when the run was cancelled before the merge finished.
-func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound float64) bool {
-	h := d.h
-	stride := h + 1
-	w1 := d.bt.EdgeWeight(c1)
-	out, parent := sc.idx, sc.parent
-	maxSp := h
+// mergeOpt is one merge candidate shape of a merge plan: a spontaneous
+// region depth sp at the parent, with the boundary charge the child
+// edges pay for it and the key units of its zero-demand levels
+// (max(j1, j2), sp].
+type mergeOpt struct {
+	charge float64
+	add    uint64
+}
+
+// plan fills sc.opts with the merge options of one child group pair:
+// child 1 cut at threshold j1 with region depth m1 (and, when two, child
+// 2 at j2 with depth m2). Given the group pair, a charge depends only on
+// sp and the two edge weights, so it is computed once per node and
+// group pair rather than per row pair. sp ranges over 0 and the depths past the kept
+// regions (smaller ones are swallowed by them and duplicate sp = 0);
+// options whose charge is +Inf (a cut of a binarization dummy edge)
+// are left out, since putEntry would refuse every candidate they make.
+// The E11 ablations act here: AblateNoZeroRegions leaves only sp = 0,
+// AblateLiteralEq4 drops the parent-region charge. It returns the
+// options and their least charge.
+func (d *dpRun) plan(sc *dpScratch, w1 float64, j1, m1 int, two bool, w2 float64, j2, m2 int) ([]mergeOpt, float64) {
+	opts := sc.opts[:0]
+	minCh := math.Inf(1)
+	p := max(j1, j2)
+	maxSp := d.h
 	if d.noZeroRegions {
 		maxSp = 0
 	}
-	poll := stopPollEvery
-	for i1 := range tab.rows {
-		k1, base := tab.rows[i1].key, tab.rows[i1].cost
-		if base > effBound {
-			break
-		}
-		s1 := tab.sig(i1, stride)
-		// j1 = deepest level at which the child edge is kept;
-		// sp = deepest level with a spontaneously opened region at v.
-		// Thresholds past the child's region depth are equivalent to the
-		// depth itself, and spontaneous prefixes swallowed by the kept
-		// child region (sp ≤ j1) duplicate sp = 0 — see regionDepth.
-		m1 := tab.depth[i1]
-		if poll -= m1 + 1; poll <= 0 {
-			if d.stopped.Load() {
-				return false
+	for sp := 0; sp <= maxSp; {
+		ch := d.charge(w1, j1, m1, two, w2, j2, m2, max(p, sp))
+		if !math.IsInf(ch, 1) {
+			var add uint64
+			if sp > 0 {
+				add = d.codec.units[sp] - d.codec.units[p]
 			}
-			poll = stopPollEvery
+			opts = append(opts, mergeOpt{charge: ch, add: add})
+			minCh = min(minCh, ch)
 		}
-		for j1 := 0; j1 <= m1; j1++ {
-			for sp := 0; sp <= maxSp; {
-				if j1 == m1 && sp == 0 {
-					// Keeping the whole region prefix with no spontaneous
-					// region leaves the signature unchanged at zero cost
-					// (every level either merges or stays empty) — reuse
-					// the child's key instead of re-encoding.
-					putEntry(out, k1, entry{cost: base, s1: k1, j1: int8(m1), kind: 1})
-					sp = j1 + 1
-					continue
-				}
-				cost, ok := d.mergeLevel(parent, w1, s1, j1, sp, nil, 0, 0)
-				// Partials strictly above the node's ceiling are dropped
-				// (ties kept): merge increments are never negative and the
-				// futureMin term is admissible, so they cannot complete
-				// under the incumbent. +Inf ceiling keeps all.
-				if ok && base+cost <= effBound {
-					putEntry(out, d.codec.encode(parent), entry{
-						cost: base + cost,
-						s1:   k1, j1: int8(j1), kind: 1,
-					})
-				}
-				if sp == 0 {
-					sp = j1 + 1
-				} else {
-					sp++
-				}
-			}
+		if sp == 0 {
+			sp = p + 1
+		} else {
+			sp++
 		}
 	}
-	return true
+	sc.opts = opts
+	return opts, minCh
 }
 
-// crossInto merges rows start, start+step, start+2·step, … of child
-// table t1 against all of t2, writing parent entries into the build
-// index sc.idx. Both tables are cost-sorted and merge increments are
-// never negative (and float addition is monotone), so a row's partner
-// scan stops at the first c1 + c2 above the ceiling, and the row scan
-// ends once even t2's cheapest row overshoots: every skipped candidate
-// is one the ceiling filter would drop. The scheduler shards a large
-// node by dealing t1's rows round-robin (step = shard count), so every
-// shard gets a share of the cheap rows that survive the ceiling; the
-// row partition never changes the merged result because putEntry keeps
-// a total-order minimum per key. It reports false when the run was
-// cancelled before the merge finished.
-func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step int, t2 *dpTable, w2 float64, effBound float64) bool {
-	if len(t2.rows) == 0 {
-		return true
-	}
-	h := d.h
-	stride := h + 1
-	maxSp := h
-	if d.noZeroRegions {
-		maxSp = 0
-	}
-	out, parent := sc.idx, sc.parent
-	min2 := t2.rows[0].cost
-	poll := stopPollEvery
-	for i1 := start; i1 < len(t1.rows); i1 += step {
-		k1, c1 := t1.rows[i1].key, t1.rows[i1].cost
-		if c1+min2 > effBound {
-			break
-		}
-		s1 := t1.sig(i1, stride)
-		m1 := t1.depth[i1]
-		for i2 := range t2.rows {
-			base := c1 + t2.rows[i2].cost
-			if base > effBound {
-				break
-			}
-			s2 := t2.sig(i2, stride)
-			k2 := t2.rows[i2].key
-			m2 := t2.depth[i2]
-			if poll -= (m1 + 1) * (m2 + 1); poll <= 0 {
-				if d.stopped.Load() {
-					return false
-				}
-				poll = stopPollEvery
-			}
-			// Cut thresholds past each child's region depth duplicate the
-			// depth itself, and spontaneous prefixes swallowed by the kept
-			// child regions (sp ≤ max(j1, j2)) duplicate sp = 0 — see
-			// regionDepth. Skipping them changes nothing in the tables.
-			for j1 := 0; j1 <= m1; j1++ {
-				for j2 := 0; j2 <= m2; j2++ {
-					p := j1
-					if j2 > p {
-						p = j2
-					}
-					for sp := 0; sp <= maxSp; {
-						cost, ok := d.mergeLevel(parent, w1, s1, j1, sp, s2, w2, j2)
-						// Ceiling filter mirrors oneChildTable: drop partials
-						// strictly above the node's ceiling, keep ties.
-						if ok && base+cost <= effBound {
-							putEntry(out, d.codec.encode(parent), entry{
-								cost: base + cost,
-								s1:   k1, s2: k2, j1: int8(j1), j2: int8(j2), kind: 2,
-							})
-						}
-						if sp == 0 {
-							sp = p + 1
-						} else {
-							sp++
-						}
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// mergeLevel derives the parent signature for the child states s1 (and
-// s2 when non-nil) under cut thresholds j1, j2 and spontaneous-region
-// depth sp, writing it into parent and returning the boundary cost. It
-// returns ok=false when the combination is invalid: a zero-demand region
-// cannot be cut off (its mirror component would contain no member leaf)
-// and merged demands must respect the scaled capacities.
-//
-// Per-level charging: a child edge carries no charge at level k only
-// when the child's region merges through it (k ≤ jᵢ and a region is
-// present below). Otherwise it is charged Δ(k)·w once if it closes a
-// demand-carrying child set (boundary of the closed mirror) and once
-// more if the parent has a level-k region (boundary of the region
-// containing v) — Δ(k) = (cm(k−1)−cm(k))/2 being the per-side share of
-// the Equation (3) objective.
-func (d *dpRun) mergeLevel(parent []int, w1 float64, s1 []int, j1, sp int, s2 []int, w2 float64, j2 int) (float64, bool) {
+// charge is the boundary cost of a merge whose parent has regions at
+// levels 1..top. Per level, a child edge carries no charge when the
+// child's region merges through it (k ≤ jᵢ). Otherwise it is charged
+// Δ(k)·w once if it closes a demand-carrying child set (k ≤ mᵢ: the
+// boundary of the closed mirror) and once more if the parent has a
+// level-k region (the boundary of the region containing v), Δ(k) =
+// (cm(k−1)−cm(k))/2 being the per-side share of the Equation (3)
+// objective. The terms are added level by level, child 1 before child 2,
+// the order of the exhaustive reference (mergeLevel, in the tests), so
+// the float sums are bit-identical.
+func (d *dpRun) charge(w1 float64, j1, m1 int, two bool, w2 float64, j2, m2, top int) float64 {
 	var cost float64
 	for k := 1; k <= d.h; k++ {
-		x1 := s1[k]
-		kept1 := k <= j1
-		if !kept1 && x1 == 1 {
-			return 0, false // cutting off a zero-demand region
+		dl := d.delta[k]
+		if dl == 0 {
+			continue
 		}
-		merged1 := kept1 && x1 >= 1
-		flag := merged1 || k <= sp
-		pd := 0
-		if merged1 {
-			pd = x1 - 1
-		}
-
-		var x2 int
-		var merged2 bool
-		if s2 != nil {
-			x2 = s2[k]
-			kept2 := k <= j2
-			if !kept2 && x2 == 1 {
-				return 0, false
+		parentRegion := k <= top && !d.literalEq4
+		if k > j1 {
+			if k <= m1 {
+				cost += w1 * dl // closed child set boundary
 			}
-			merged2 = kept2 && x2 >= 1
-			flag = flag || merged2
-			if merged2 {
-				pd += x2 - 1
+			if parentRegion {
+				cost += w1 * dl // parent region boundary
 			}
 		}
-
-		if pd > d.capS[k] {
-			return 0, false
-		}
-		if flag {
-			parent[k] = pd + 1
-		} else {
-			parent[k] = 0
-		}
-
-		if dl := d.delta[k]; dl != 0 {
-			if !merged1 {
-				if !kept1 && x1 > 1 {
-					cost += w1 * dl // closed child set boundary
-				}
-				if flag && !d.literalEq4 {
-					cost += w1 * dl // parent region boundary
-				}
+		if two && k > j2 {
+			if k <= m2 {
+				cost += w2 * dl
 			}
-			if s2 != nil && !merged2 {
-				if k > j2 && x2 > 1 {
-					cost += w2 * dl
+			if parentRegion {
+				cost += w2 * dl
+			}
+		}
+	}
+	return cost
+}
+
+// fits reports whether kept, a parent key's fields at the levels both
+// children keep (1..top), respects the scaled capacities there. The
+// other levels need no check: a level kept by one child copies that
+// child's field, which passed this check when it was made, and capS is
+// non-increasing in the level.
+func (d *dpRun) fits(kept uint64, top int) bool {
+	for k := d.capFrom; k <= top; k++ {
+		if kept>>d.codec.shift(k)&d.codec.mask > d.capField[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// oneChildTable merges a single child table upward into the build index
+// sc.idx (c1 is v's only child, tab its table). It walks the child's
+// projections: for each threshold j1 and depth m1, the group
+// representatives of P_j1 with depth m1, in cost order, under that
+// pair's merge plan. The parent key is the child's kept prefix plus the
+// spontaneous levels' units. Rows arrive cost-sorted and merge
+// increments are never negative, so each scan stops at the first
+// representative above the ceiling. It reports false when the run was
+// cancelled before the merge finished.
+func (d *dpRun) oneChildTable(sc *dpScratch, c1 int, tab *dpTable, effBound float64) bool {
+	h := d.h
+	w1 := d.bt.EdgeWeight(c1)
+	out := sc.idx
+	poll := stopPollEvery
+	for j1 := 0; j1 <= h; j1++ {
+		next := tab.nextOf(j1)
+		pre := d.codec.prefix[j1]
+		for m1 := j1; m1 <= h; m1++ {
+			reps := tab.repsOf(h, j1, m1)
+			if len(reps) == 0 {
+				continue
+			}
+			opts, minCh := d.plan(sc, w1, j1, m1, false, 0, 0, 0)
+			if len(opts) == 0 {
+				continue
+			}
+			for _, r := range reps {
+				c1, k1 := tab.rows[r].cost, tab.rows[r].key
+				if c1+minCh > effBound {
+					break
 				}
-				if flag && !d.literalEq4 {
-					cost += w2 * dl
+				if poll -= len(opts); poll <= 0 {
+					if d.stopped.Load() {
+						return false
+					}
+					poll = stopPollEvery
+				}
+				kept := k1 & pre
+				for _, o := range opts {
+					// Partials strictly above the node's ceiling are dropped
+					// (ties kept): merge increments are never negative and
+					// the futureMin term is admissible, so they cannot
+					// complete under the incumbent. +Inf ceiling keeps all.
+					c := c1 + o.charge
+					if c > effBound {
+						continue
+					}
+					key := kept + o.add
+					putEntry(out, key, entry{cost: c, s1: k1, j1: int8(j1), kind: 1})
+					// Rounding ties: a dearer row of the group whose sum
+					// rounds to c competes on key.
+					for a := next[r]; a >= 0 && tab.rows[a].cost+o.charge == c; a = next[a] {
+						putEntry(out, key, entry{cost: c, s1: tab.rows[a].key, j1: int8(j1), kind: 1})
+					}
 				}
 			}
 		}
 	}
-	parent[0] = 0
-	return cost, true
+	return true
+}
+
+// crossInto merges child tables t1 and t2 into the build index sc.idx,
+// through their projections: for every threshold pair (j1, j2) and
+// depth pair (m1, m2), the representatives of P_j1(t1) with depth m1
+// against those of P_j2(t2) with depth m2, under that group pair's merge
+// plan. Only a group's representative can win a parent slot (see
+// dpTable), so the merge costs Σ |reps₁|·|reps₂| over the group pairs
+// instead of |t1|·|t2|·h², and ties walks the rows whose sums round to
+// a representative pair's.
+//
+// Regions occupy a level prefix 1..m: leaves open a region at every
+// level, and a merge's level-k region exists iff a child region merges
+// through (k ≤ jᵢ ≤ mᵢ) or a spontaneous region covers it (k ≤ sp), all
+// unions of prefixes. Cut thresholds j > m are therefore
+// indistinguishable from j = m (no region to keep or cut at the extra
+// levels), and entryLess already canonicalizes equal-cost winners to the
+// smallest threshold, so the loops take j ≤ m only. The parent key is
+// built from packed fields: the children's kept prefixes added, one
+// unit off each level both keep (two regions of demand a and b, fields
+// a+1 and b+1, merge into field a+b+1), plus the spontaneous levels'
+// units.
+//
+// Both tables are cost-sorted and merge increments are never negative
+// (and float addition is monotone), so a representative's partner scan
+// stops at the first sum above the ceiling, and the representative scan
+// ends once even the cheapest partner overshoots: every skipped
+// candidate is one the ceiling filter would drop. The scheduler shards a
+// large node by dealing t1's representatives round-robin (shard start of
+// step takes positions start, start+step, … of the representatives
+// concatenated over the group pairs), so every shard gets a share of the
+// cheap rows that survive the ceiling; the partition never changes the
+// merged result because putEntry keeps a total-order minimum per key. It
+// reports false when the run was cancelled before the merge finished.
+func (d *dpRun) crossInto(sc *dpScratch, t1 *dpTable, w1 float64, start, step int, t2 *dpTable, w2 float64, effBound float64) bool {
+	h := d.h
+	out := sc.idx
+	poll := stopPollEvery
+	dealt := 0
+	for j1 := 0; j1 <= h; j1++ {
+		next1 := t1.nextOf(j1)
+		pre1 := d.codec.prefix[j1]
+		for m1 := j1; m1 <= h; m1++ {
+			reps1 := t1.repsOf(h, j1, m1)
+			if len(reps1) == 0 {
+				continue
+			}
+			for j2 := 0; j2 <= h; j2++ {
+				next2 := t2.nextOf(j2)
+				pre2 := d.codec.prefix[j2]
+				both := min(j1, j2)
+				for m2 := j2; m2 <= h; m2++ {
+					reps2 := t2.repsOf(h, j2, m2)
+					if len(reps2) == 0 {
+						continue
+					}
+					first := ((start-dealt)%step + step) % step
+					dealt += len(reps1)
+					opts, minCh := d.plan(sc, w1, j1, m1, true, w2, j2, m2)
+					if len(opts) == 0 {
+						continue
+					}
+					min2 := t2.rows[reps2[0]].cost
+					for i1 := first; i1 < len(reps1); i1 += step {
+						r1 := reps1[i1]
+						c1, k1 := t1.rows[r1].cost, t1.rows[r1].key
+						if (c1+min2)+minCh > effBound {
+							break
+						}
+						kept1 := k1&pre1 - d.codec.units[both]
+						for _, r2 := range reps2 {
+							c2, k2 := t2.rows[r2].cost, t2.rows[r2].key
+							base := c1 + c2
+							if base+minCh > effBound {
+								break
+							}
+							if poll -= len(opts); poll <= 0 {
+								if d.stopped.Load() {
+									return false
+								}
+								poll = stopPollEvery
+							}
+							kept := kept1 + k2&pre2
+							if !d.fits(kept, both) {
+								continue
+							}
+							linked := next1[r1] >= 0 || next2[r2] >= 0
+							for _, o := range opts {
+								// Ceiling filter mirrors oneChildTable: drop
+								// partials strictly above the node's ceiling,
+								// keep ties.
+								c := base + o.charge
+								if c > effBound {
+									continue
+								}
+								e := entry{cost: c, s1: k1, s2: k2, j1: int8(j1), j2: int8(j2), kind: 2}
+								putEntry(out, kept+o.add, e)
+								if linked {
+									ties(out, kept+o.add, e, o.charge, t1, next1, r1, t2, next2, r2)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// ties passes to putEntry every other row pair of the groups headed by
+// r1 and r2 whose candidate cost rounds to e.cost, the representative
+// pair's: the exhaustive merge would see those candidates too, and one
+// with a dearer row but a smaller key wins the slot. The walk follows
+// both groups' links (strictly rising costs); rounding is monotone, so
+// the sums along either link chain never fall, and each scan stops at
+// the first unequal sum.
+func ties(out map[uint64]entry, key uint64, e entry, charge float64, t1 *dpTable, next1 []int32, r1 int32, t2 *dpTable, next2 []int32, r2 int32) {
+	c2 := t2.rows[r2].cost
+	for a := r1; a >= 0; a = next1[a] {
+		ca := t1.rows[a].cost
+		if (ca+c2)+charge != e.cost {
+			return
+		}
+		for b := r2; b >= 0; b = next2[b] {
+			if (ca+t2.rows[b].cost)+charge != e.cost {
+				break
+			}
+			if a != r1 || b != r2 {
+				e.s1, e.s2 = t1.rows[a].key, t2.rows[b].key
+				putEntry(out, key, e)
+			}
+		}
+	}
 }
 
 // reconstruct walks the backpointers from the root's best signature and
@@ -812,20 +904,18 @@ func relabelFamily(fam *laminar.Family, t *tree.Tree, origOf []int) *laminar.Fam
 // FamilyCost evaluates the Equation (3) objective of a solution family
 // on tree t: for every level j ≥ 1 and every Level-(j) set S, the
 // minimum tree cut separating S contributes
-// w(CUT_T(S)) · (cm(j−1) − cm(j)) / 2.
+// w(CUT_T(S)) · (cm(j−1) − cm(j)) / 2. The cut weights come from one
+// tree.CutWeight shared by all the family's sets.
 func FamilyCost(t *tree.Tree, H *hierarchy.Hierarchy, fam *laminar.Family) float64 {
 	var c float64
+	cw := tree.NewCutWeight(t)
 	for j := 1; j <= H.Height(); j++ {
 		delta := (H.CM(j-1) - H.CM(j)) / 2
 		if delta == 0 {
 			continue
 		}
 		for _, s := range fam.Levels[j] {
-			in := make(map[int]bool, len(s.Leaves))
-			for _, l := range s.Leaves {
-				in[l] = true
-			}
-			c += t.CutLeafSetOf(in).Weight * delta
+			c += cw.Of(s.Leaves) * delta
 		}
 	}
 	return c

@@ -1,10 +1,12 @@
 package hgpt
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hierpart/internal/gen"
@@ -199,15 +201,34 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 //
 // All three must be equal: the scans that stop at the first row above
 // the ceiling may skip only candidates the filter drops, and every
-// insertion (the one-child unchanged-signature fast path included) must
+// insertion (the one-child unchanged-signature case included) must
 // honour the ceiling.
+//
+// shift crafts rounding ties. When shift%3 is 1 or 2, one child table
+// (child (shift/3) mod the child count) gets 2⁵³ or 3·2⁵² added to every
+// cost and is re-sorted into (cost, key) order. Near 2⁵³ the float
+// spacing is 2 or more, so rows of one projection group with distinct
+// costs make candidate sums that round to the same value. The exhaustive
+// merge then keeps the tied candidate with the smallest key, which need
+// not be the group representative's: the projected merge must find it by
+// walking the tie.
 func FuzzBoundedTable(f *testing.F) {
 	for hi := range fuzzHierarchies {
 		for _, frac := range []float64{0, 0.5, 1} {
-			f.Add(int64(hi+1), uint8(hi), frac)
+			f.Add(int64(hi+1), uint8(hi), frac, uint8(0))
+		}
+		for _, shift := range []uint8{1, 2, 4, 5} {
+			f.Add(int64(hi+1), uint8(hi), 1.0, shift)
+		}
+		// Trees 15 and 38 with the second child shifted hold a slot that
+		// a tied dearer row wins on key, on five of the six hierarchies.
+		for _, seed := range []int64{15, 38} {
+			for _, shift := range []uint8{4, 5} {
+				f.Add(seed, uint8(hi), 1.0, shift)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, hier uint8, frac float64) {
+	f.Fuzz(func(t *testing.T, seed int64, hier uint8, frac float64, shift uint8) {
 		if math.IsNaN(frac) || math.IsInf(frac, 0) {
 			return
 		}
@@ -224,40 +245,71 @@ func FuzzBoundedTable(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stride := d.h + 1
+		by := [3]float64{0, 1 << 53, 3 << 52}[shift%3]
 		for _, v := range d.bt.PostOrder() {
 			if d.bt.IsLeaf(v) {
 				continue
 			}
-			ex := exhaustiveTable(d, v, tabs)
-			if len(ex.rows) == 0 {
+			if by == 0 {
+				checkBoundedNode(t, d, v, tabs, frac)
 				continue
 			}
-			lo, hi := ex.rows[0].cost, ex.rows[len(ex.rows)-1].cost
-			for _, eff := range []float64{lo + frac*(hi-lo), math.Inf(1)} {
-				// Rows are cost-sorted, so the filtered oracle is a prefix.
-				n := 0
-				for n < len(ex.rows) && ex.rows[n].cost <= eff {
-					n++
-				}
-				want := &dpTable{rows: ex.rows[:n], sigs: ex.sigs[:n*stride], depth: ex.depth[:n]}
-				if got := d.table(v, tabs, eff); !reflect.DeepEqual(got, want) {
-					t.Fatalf("node %d (%d children), ceiling %v: table differs from filtered exhaustive table:\ngot  %v\nwant %v",
-						v, len(d.bt.Children(v)), eff, got.rows, want.rows)
-				}
-				kids := d.bt.Children(v)
-				if len(kids) != 2 {
-					continue
-				}
-				for _, shards := range []int{2, 3} {
-					if got := shardedTable(d, tabs, kids[0], kids[1], shards, eff); !reflect.DeepEqual(got, want) {
-						t.Fatalf("node %d, %d shards, ceiling %v: folded table differs from filtered exhaustive table:\ngot  %v\nwant %v",
-							v, shards, eff, got.rows, want.rows)
-					}
-				}
-			}
+			kids := d.bt.Children(v)
+			c := kids[int(shift/3)%len(kids)]
+			orig := tabs[c]
+			tabs[c] = shiftedTable(d, orig, by)
+			checkBoundedNode(t, d, v, tabs, frac)
+			tabs[c] = orig
 		}
 	})
+}
+
+// checkBoundedNode is FuzzBoundedTable's check at internal node v.
+func checkBoundedNode(t *testing.T, d *dpRun, v int, tabs []*dpTable, frac float64) {
+	t.Helper()
+	kids := d.bt.Children(v)
+	ex := exhaustiveTable(d, v, tabs)
+	if len(ex.rows) == 0 {
+		return
+	}
+	lo, hi := ex.rows[0].cost, ex.rows[len(ex.rows)-1].cost
+	for _, eff := range []float64{lo + frac*(hi-lo), math.Inf(1)} {
+		// Rows are cost-sorted, so the filtered oracle is a prefix.
+		n := 0
+		for n < len(ex.rows) && ex.rows[n].cost <= eff {
+			n++
+		}
+		want := d.newTable(ex.rows[:n])
+		if got := d.table(v, tabs, eff); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d (%d children), ceiling %v: table differs from filtered exhaustive table:\ngot  %v\nwant %v",
+				v, len(kids), eff, got.rows, want.rows)
+		}
+		if len(kids) != 2 {
+			continue
+		}
+		for _, shards := range []int{2, 3} {
+			if got := shardedTable(d, tabs, kids[0], kids[1], shards, eff); !reflect.DeepEqual(got, want) {
+				t.Fatalf("node %d, %d shards, ceiling %v: folded table differs from filtered exhaustive table:\ngot  %v\nwant %v",
+					v, shards, eff, got.rows, want.rows)
+			}
+		}
+	}
+}
+
+// shiftedTable returns tab with by added to every cost, re-sorted into
+// (cost, key) order and re-projected.
+func shiftedTable(d *dpRun, tab *dpTable, by float64) *dpTable {
+	rows := slices.Clone(tab.rows)
+	for i := range rows {
+		rows[i].cost += by
+	}
+	slices.SortFunc(rows, func(a, b tableRow) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	return d.newTable(rows)
 }
 
 // shardedTable builds a two-child node's table the way the scheduler

@@ -98,7 +98,7 @@ func TestShardedCrossMatchesSequential(t *testing.T) {
 }
 
 // exhaustiveTable is a reference merge that enumerates the FULL
-// (j1, j2, sp) combo space — no regionDepth reduction, no fast paths.
+// (j1, j2, sp) combo space — no region-depth reduction, no projections.
 // The production loops skip combinations proven equivalent to a
 // retained one (cut thresholds past the region depth, spontaneous
 // prefixes swallowed by kept child regions); this oracle pins that
@@ -163,6 +163,85 @@ func exhaustiveTable(d *dpRun, v int, tabs []*dpTable) *dpTable {
 		}
 	}
 	return d.freeze(sc)
+}
+
+// mergeLevel derives the parent signature for the child states s1 (and
+// s2 when non-nil) under cut thresholds j1, j2 and spontaneous-region
+// depth sp, writing it into parent and returning the boundary cost. It
+// returns ok=false when the combination is invalid: a zero-demand region
+// cannot be cut off (its mirror component would contain no member leaf)
+// and merged demands must respect the scaled capacities. It is the
+// exhaustive reference's per-level merge rule; the production merges
+// precompute the same charges per group pair (dpRun.charge) and build
+// parent keys from packed fields.
+//
+// Per-level charging: a child edge carries no charge at level k only
+// when the child's region merges through it (k ≤ jᵢ and a region is
+// present below). Otherwise it is charged Δ(k)·w once if it closes a
+// demand-carrying child set (boundary of the closed mirror) and once
+// more if the parent has a level-k region (boundary of the region
+// containing v) — Δ(k) = (cm(k−1)−cm(k))/2 being the per-side share of
+// the Equation (3) objective.
+func (d *dpRun) mergeLevel(parent []int, w1 float64, s1 []int, j1, sp int, s2 []int, w2 float64, j2 int) (float64, bool) {
+	var cost float64
+	for k := 1; k <= d.h; k++ {
+		x1 := s1[k]
+		kept1 := k <= j1
+		if !kept1 && x1 == 1 {
+			return 0, false // cutting off a zero-demand region
+		}
+		merged1 := kept1 && x1 >= 1
+		flag := merged1 || k <= sp
+		pd := 0
+		if merged1 {
+			pd = x1 - 1
+		}
+
+		var x2 int
+		var merged2 bool
+		if s2 != nil {
+			x2 = s2[k]
+			kept2 := k <= j2
+			if !kept2 && x2 == 1 {
+				return 0, false
+			}
+			merged2 = kept2 && x2 >= 1
+			flag = flag || merged2
+			if merged2 {
+				pd += x2 - 1
+			}
+		}
+
+		if pd > d.capS[k] {
+			return 0, false
+		}
+		if flag {
+			parent[k] = pd + 1
+		} else {
+			parent[k] = 0
+		}
+
+		if dl := d.delta[k]; dl != 0 {
+			if !merged1 {
+				if !kept1 && x1 > 1 {
+					cost += w1 * dl // closed child set boundary
+				}
+				if flag && !d.literalEq4 {
+					cost += w1 * dl // parent region boundary
+				}
+			}
+			if s2 != nil && !merged2 {
+				if k > j2 && x2 > 1 {
+					cost += w2 * dl
+				}
+				if flag && !d.literalEq4 {
+					cost += w2 * dl
+				}
+			}
+		}
+	}
+	parent[0] = 0
+	return cost, true
 }
 
 // TestReducedMergeMatchesExhaustive fuzzes the production merge loops

@@ -16,19 +16,19 @@ import (
 // subtrees are independent. runTables replaces the walk with a
 // dependency-counting scheduler — every node carries a countdown of
 // unfinished children, leaves start ready, and a node is enqueued the
-// moment its last child completes. On top of that, the cross-product
-// merge at a large two-child node (the O(|tab(c1)|·|tab(c2)|·h²) hot
-// spot) is sharded by dealing the first child's cost-sorted rows
-// round-robin into per-worker build indexes, folded back together by
-// fold. Round-robin rather than contiguous chunks: under a
-// ceiling only the cheap rows at the front of a table produce
-// candidates, and contiguous chunks would hand every one of them to
-// shard 0.
+// moment its last child completes. On top of that, the projected
+// cross-product merge at a large two-child node (the hot spot: every
+// pair of group representatives, see crossInto) is sharded by dealing
+// the first child's cost-sorted representatives round-robin into
+// per-worker build indexes, folded back together by fold. Round-robin
+// rather than contiguous chunks: under a ceiling only the cheap rows at
+// the front of a table produce candidates, and contiguous chunks would
+// hand every one of them to shard 0.
 //
 // Determinism: a table's content is the per-key minimum of merge
 // candidates under the strict total order (cost, s1, s2, j1, j2), and
-// both sibling interleaving and row sharding only change the order in
-// which candidates are examined — never the candidate set. Results are
+// both sibling interleaving and representative sharding only change the
+// order in which candidates are examined — never the candidate set. Results are
 // therefore bit-identical at every worker count (asserted by
 // TestSolveWorkersBitIdentical, TestShardedCrossMatchesSequential and
 // FuzzBoundedTable, which also folds 2- and 3-way shards under a
@@ -370,9 +370,10 @@ func (s *tableSched) nodeTask(v int) func() {
 	}
 }
 
-// shardNode deals the rows of c1's table round-robin across one shard
-// task per worker: shard i merges rows i, i+S, i+2S, … into a private
-// build index. The last shard to finish folds the partials together,
+// shardNode deals the group representatives of c1's table round-robin
+// across one shard task per worker: shard i merges representatives i,
+// i+S, i+2S, … (counted over all group pairs, see crossInto) into a
+// private build index. The last shard to finish folds the partials together,
 // freezes the node's table and completes the node.
 func (s *tableSched) shardNode(v, c1, c2 int) {
 	d := s.d

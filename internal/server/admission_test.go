@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -284,6 +285,53 @@ func TestShedResponsePlumbing(t *testing.T) {
 	}
 	if got := reg.Counter(`shed_total{reason="draining"}`).Value(); got != 1 {
 		t.Fatalf("shed_total{reason=draining} = %d, want 1", got)
+	}
+}
+
+// A queued request whose own deadline fires while the only slot is held
+// is answered as the dispatcher's deadline shed is: 504
+// deadline_exceeded with shed_reason deadline_expired, counted once in
+// deadline_timeouts_total and partition_errors_total.
+func TestQueuedDeadlineExpiryIsShed(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 4, Registry: reg})
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.solve = blockingSolve(started, release)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postPartition(t, s.Handler(), testRequest())
+	}()
+	<-started // the only slot is held until release
+
+	timeouts := reg.Counter("deadline_timeouts_total").Value()
+	errs := reg.Counter("partition_errors_total").Value()
+	req := testRequest()
+	req.TimeoutMS = 50
+	rec := postPartition(t, s.Handler(), req)
+	close(release)
+	<-done
+
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (body %s)", rec.Code, rec.Body.String())
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("error envelope %s: %v", rec.Body.String(), err)
+	}
+	if e.Code != "deadline_exceeded" || e.ShedReason != "deadline_expired" {
+		t.Fatalf("code %q, shed_reason %q; want deadline_exceeded, deadline_expired", e.Code, e.ShedReason)
+	}
+	if d := reg.Counter("deadline_timeouts_total").Value() - timeouts; d != 1 {
+		t.Fatalf("deadline_timeouts_total rose by %d, want 1", d)
+	}
+	if d := reg.Counter("partition_errors_total").Value() - errs; d != 1 {
+		t.Fatalf("partition_errors_total rose by %d, want 1", d)
+	}
+	if got := reg.Counter(`shed_total{reason="deadline_expired"}`).Value(); got != 1 {
+		t.Fatalf("shed_total{reason=deadline_expired} = %d, want 1", got)
 	}
 }
 

@@ -164,8 +164,10 @@ type admission struct {
 // request at a time runs as the full-service probe.
 //
 // Last, the deadline-ordered waiting room grants a slot or sheds the
-// request (429 queue_full, 504 deadline_expired). On a shed admit writes
-// the response and returns nil; otherwise the caller defers s.release.
+// request (429 queue_full, 504 deadline_expired; a waiter whose deadline
+// fires before the dispatcher sheds it gets the same 504, and a client
+// that went away while waiting gets 499). On a shed admit writes the
+// response and returns nil; otherwise the caller defers s.release.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, start time.Time, timeoutMS int, noDegrade bool) *admission {
 	a := &admission{timeout: s.cfg.DefaultTimeout}
 	if timeoutMS > 0 {
@@ -204,7 +206,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, start time.Time, 
 		_, inUse, waiting := s.lim.snapshot()
 		s.writeShed(w, http.StatusTooManyRequests, "queue_full", shedQueueFull,
 			fmt.Sprintf("admission queue full (%d running + %d waiting)", inUse, waiting), time.Second)
-	case errors.Is(err, errShedExpired):
+	case errors.Is(err, errShedExpired) || errors.Is(err, context.DeadlineExceeded):
+		// The dispatcher shed the waiter at its deadline, or the deadline
+		// fired first while it waited: one event, one answer.
 		s.reg.Counter("partition_errors_total").Inc()
 		s.reg.Counter("deadline_timeouts_total").Inc()
 		s.writeShed(w, http.StatusGatewayTimeout, "deadline_exceeded", shedDeadlineExpired,

@@ -46,3 +46,17 @@ func BenchmarkPostOrder(b *testing.B) {
 		t.PostOrder()
 	}
 }
+
+func BenchmarkCutWeight(b *testing.B) {
+	t, s := benchTree(512)
+	leaves := make([]int, 0, len(s))
+	for l := range s {
+		leaves = append(leaves, l)
+	}
+	cw := NewCutWeight(t)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cw.Of(leaves)
+	}
+}

@@ -136,3 +136,75 @@ func (t *Tree) CutLeafSetOf(s map[int]bool) CutResult {
 // Inf - Inf elsewhere; plain float64 addition already satisfies this,
 // the helper just documents intent).
 func addInf(a, b float64) float64 { return a + b }
+
+// CutWeight evaluates w(CUT_T(S)), CutLeafSet's Weight, for many leaf
+// sets of one tree. It runs CutLeafSet's two-label recurrence without
+// the reconstruction (labels, mirror, cut edges) and without the mirror
+// sizes that only break ties between equal weights, over one post-order
+// and per-node buffers reused across calls. Each node adds its
+// children's cheaper label in the same child order as CutLeafSet, so
+// the weight is bit-identical. The tree must not change while a
+// CutWeight is in use, and a CutWeight is not safe for concurrent use.
+type CutWeight struct {
+	t     *Tree
+	order []int
+	cost  [][2]float64 // per node: cost with the node off (0) or on (1) the S side
+	in    []bool
+}
+
+// NewCutWeight returns a CutWeight over t.
+func NewCutWeight(t *Tree) *CutWeight {
+	return &CutWeight{
+		t:     t,
+		order: t.PostOrder(),
+		cost:  make([][2]float64, t.N()),
+		in:    make([]bool, t.N()),
+	}
+}
+
+// Of returns w(CUT_T(S)) for S = leaves; +Inf if S can only be
+// separated by cutting an infinite edge. It panics if leaves holds a
+// non-leaf node.
+func (c *CutWeight) Of(leaves []int) float64 {
+	t := c.t
+	for _, l := range leaves {
+		if !t.IsLeaf(l) {
+			panic(fmt.Sprintf("tree: CutWeight.Of: node %d is not a leaf", l))
+		}
+		c.in[l] = true
+	}
+	inf := math.Inf(1)
+	for _, v := range c.order {
+		kids := t.children[v]
+		if len(kids) == 0 {
+			if c.in[v] {
+				c.cost[v] = [2]float64{inf, 0}
+			} else {
+				c.cost[v] = [2]float64{0, inf}
+			}
+			continue
+		}
+		var c0, c1 float64
+		for _, ch := range kids {
+			a, w := c.cost[ch], t.wParent[ch]
+			c0 += cheaper(a[0], a[1]+w)
+			c1 += cheaper(a[0]+w, a[1])
+		}
+		c.cost[v] = [2]float64{c0, c1}
+	}
+	for _, l := range leaves {
+		c.in[l] = false
+	}
+	root := c.cost[t.Root()]
+	return cheaper(root[0], root[1])
+}
+
+// cheaper returns the label cost CutLeafSet picks: label 1's when it is
+// strictly lower, else label 0's (equal costs are the same value, so
+// the mirror-size tie-break never changes the weight).
+func cheaper(c0, c1 float64) float64 {
+	if c1 < c0 {
+		return c1
+	}
+	return c0
+}

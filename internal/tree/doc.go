@@ -7,5 +7,8 @@
 // Main entry points: New and AddChild build a Tree; Binarize produces
 // the binary form the DP requires; CutLeafSet computes the minimum cut
 // separating a leaf set (Definition 5), the primitive behind the
-// mirror-cost evaluations.
+// mirror-cost evaluations. CutWeight returns the same cut's weight, bit
+// for bit, for many leaf sets of one tree: it skips the reconstruction
+// of the mirror and the cut edges and reuses one post-order and its
+// buffers across sets, which is what pricing a whole family needs.
 package tree
